@@ -30,7 +30,7 @@ from .synthetic import (AnalyticDistribution, ConstructionError, DensitySpec,
                         make_smooth_1d_family, make_two_point_family, sample,
                         verify_margin, verify_strong_density)
 from .threshold import (DegenerateScoreSample, ScoreSample, cdf_gap_bound,
-                        default_tolerance, empirical_cdf, empirical_threshold)
+                        empirical_cdf, empirical_threshold)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "SmoothnessSpec", "SuiteReport", "TrainingDegenerate", "UnlabeledDataset",
     "as_bits", "bayes_classifier", "bayes_threshold", "brute_force_optimum",
     "build_family", "build_hard_family", "cdf_gap_bound", "compute_bprime",
-    "default_bandwidth", "default_tolerance", "emit_report", "empirical_cdf",
+    "default_bandwidth", "emit_report", "empirical_cdf",
     "empirical_threshold", "excess_fbeta", "fit_from_config", "fit_kernel",
     "fit_knn", "fit_local_poly", "hard_family_mean_eta",
     "hard_family_rate_params", "make_constant_family", "make_smooth_1d_family",

@@ -16,6 +16,8 @@ import numpy as np
 from .discrete import DiscreteDistribution, FBetaParams, as_bits
 
 ROOT_RESIDUAL_TOL = 1e-10
+_SEGMENT_SLACK = 1e-15  # candidates this far outside a segment still count
+_SCAN_CHUNK = 65_536  # segments whose candidates are formed per step
 
 
 def threshold_equation(theta, values, weights, b: float = 1.0):
@@ -34,46 +36,73 @@ def threshold_equation(theta, values, weights, b: float = 1.0):
     return float(out[0]) if scalar else out
 
 
-def solve_threshold(values, weights, b: float = 1.0) -> float:
+def solve_threshold(values, weights=None, b: float = 1.0) -> float:
     """Exact root of the threshold equation for a weighted discrete sample.
 
     O(K log K): between consecutive sorted values the equation is linear, so
     each segment yields a closed-form candidate which is accepted iff it lies
-    inside the segment.  Returns 0.0 for the degenerate all-zero case (every
-    theta solves the equation there; see package notes).
+    inside the segment.  Without ``weights`` every value weighs 1/K; the
+    values are then sorted with ``np.sort`` and the active counts K - j stand
+    in for the weights.  Every sum is taken after sorting, so the uniform
+    root is a bitwise function of the multiset of values.  Returns 0.0 for the
+    degenerate all-zero case (every theta solves the equation there; see
+    package notes).
     """
     values = np.asarray(values, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("empty value sequence")
-    s = float(weights @ values)
-    if s <= 0.0:
+    if weights is None:
+        v = np.sort(values)
+        active = None
+        tail = _suffix_sums(v)
+    else:
+        weights = np.asarray(weights, dtype=float).ravel()
+        order = np.argsort(values)
+        v = values[order]
+        w = weights[order]
+        active = _suffix_sums(w)
+        tail = _suffix_sums(w * v)
+    if tail[0] <= 0.0:
         return 0.0
-    b2 = b * b
-    order = np.argsort(values)
-    v = values[order]
-    w = weights[order]
-    # Segment boundaries 0 = t_0 <= t_1 <= ... <= t_K <= t_{K+1} = 1.
-    bounds = np.concatenate(([0.0], v, [1.0]))
-    # On (t_j, t_{j+1}) the active set is {v_i > t_j}; suffix sums give the
-    # weighted count c_j and weighted value sum T_j of that set.
-    suffix_w = np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
-    suffix_wv = np.concatenate((np.cumsum((w * v)[::-1])[::-1], [0.0]))
-    # Index j = 0 corresponds to theta < v_(1): everything active.
-    counts = np.concatenate(([suffix_w[0]], suffix_w[1:]))
-    sums = np.concatenate(([suffix_wv[0]], suffix_wv[1:]))
-    denom = b2 * s + counts
-    # denom can underflow to 0 on the empty final segment for subnormal s
-    candidates = np.divide(sums, denom, out=np.full_like(sums, np.inf),
-                           where=denom > 0.0)
-    lo = bounds[:-1]
-    hi = bounds[1:]
-    ok = (candidates >= lo - 1e-15) & (candidates <= hi + 1e-15)
-    idx = np.flatnonzero(ok)
-    if idx.size == 0:  # should not happen: the equation always has a root
-        raise ArithmeticError("threshold solver found no admissible segment")
-    theta = float(np.clip(candidates[idx[0]], 0.0, 1.0 / (1.0 + b2)))
-    return theta
+    return _segment_scan(v, tail, active, b * b)
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """out[j] = sum_{i >= j} x[i], accumulated from the largest index."""
+    return np.cumsum(x[::-1])[::-1]
+
+
+def _segment_scan(v, tail, active, b2: float) -> float:
+    """First admissible segment root, scanned in chunks of _SCAN_CHUNK.
+
+    Segment j spans (v[j-1], v[j]) (with v[-1] read as 0) and its active set
+    is {i >= j}, of weight ``active[j]`` (K - j when ``active`` is None) and
+    weighted value sum ``tail[j]``; the candidate tail[j] / (b^2 s + active[j])
+    overwrites ``tail[j]``.  The segment above the largest value is never the
+    first admissible one when s > 0, so it is not scanned.
+    """
+    k = v.size
+    b2s = b2 * float(tail[0])
+    for start in range(0, k, _SCAN_CHUNK):
+        stop = min(start + _SCAN_CHUNK, k)
+        cand = tail[start:stop]
+        if active is None:
+            den = np.arange(k - start, k - stop, -1, dtype=float)
+            den += b2s
+        else:
+            den = b2s + active[start:stop]
+        # den can underflow to 0 on an empty active set for subnormal s; the
+        # inf or nan candidate is then not admissible
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand /= den
+        ok = cand <= v[start:stop] + _SEGMENT_SLACK
+        ok[1:] &= cand[1:] >= v[start:stop - 1] - _SEGMENT_SLACK
+        ok[0] &= cand[0] >= (v[start - 1] if start else 0.0) - _SEGMENT_SLACK
+        if ok.any():
+            theta = float(cand[int(np.argmax(ok))])
+            return min(max(theta, 0.0), 1.0 / (1.0 + b2))
+    # should not happen: the equation always has a root
+    raise ArithmeticError("threshold solver found no admissible segment")
 
 
 def solve_threshold_bisect(values, weights, b: float = 1.0, tol: float = 1e-12) -> float:

@@ -17,6 +17,15 @@ import numpy as np
 MASS_TOL = 1e-12
 
 
+def require_finite(values: np.ndarray, name: str) -> None:
+    """Raise ValueError naming ``name`` and the first row of ``values`` that
+    holds a NaN or an infinity."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        rows = finite.reshape(finite.shape[0], -1).all(axis=1)
+        raise ValueError(f"{name}: row {int(np.argmin(rows))} is not finite")
+
+
 @dataclass(frozen=True)
 class FBetaParams:
     """Trade-off parameter of the F_b score.

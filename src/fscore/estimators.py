@@ -17,7 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .discrete import require_finite
+
 _CHUNK = 512  # queries per pairwise-distance block
+_PREFIX_CHUNK = 65_536  # queries per block of the 1-d Epanechnikov fast path
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,7 @@ class LabeledDataset:
         labels = np.asarray(self.labels, dtype=float).ravel()
         if points.shape[0] != labels.size or labels.size == 0:
             raise ValueError("points and labels must be nonempty and equal length")
+        require_finite(points, "labeled dataset")
         if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be binary")
         points.setflags(write=False)
@@ -124,6 +128,7 @@ def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
     arr = np.atleast_2d(arr)
     if arr.shape[1] != d:
         raise ValueError(f"query dimension {arr.shape[1]} != fitted dimension {d}")
+    require_finite(arr, "query points")
     return arr, single
 
 
@@ -191,7 +196,13 @@ class KernelEstimate(RegressionEstimate):
     def evaluate(self, x) -> np.ndarray:
         queries, single = _as_batch(x, self._data.d)
         if self._fast is not None:
-            out = self._fast.evaluate(queries[:, 0], self.h)
+            # Fixed blocks bound the temporaries of the prefix-sum evaluation
+            # whatever the number of queries.
+            t = queries[:, 0]
+            out = np.empty(t.size)
+            for start in range(0, t.size, _PREFIX_CHUNK):
+                stop = start + _PREFIX_CHUNK
+                out[start:stop] = self._fast.evaluate(t[start:stop], self.h)
         else:
             out = np.empty(queries.shape[0])
             pts = self._data.points
@@ -211,7 +222,7 @@ class KernelEstimate(RegressionEstimate):
                 if np.any(empty):
                     vals[empty] = self._nearest_label(block[empty])
                 out[start:start + block.shape[0]] = vals
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
 
 
@@ -219,36 +230,53 @@ class _EpanechnikovPrefix:
     """O(log n) per query Epanechnikov smoothing in one dimension.
 
     For w_i = 1 - ((t - x_i)/h)^2 over |t - x_i| < h, both the weighted label
-    sum and the weight sum expand into window sums of y, x*y and x^2*y, all
-    available from prefix sums.
+    sum and the weight sum expand into window sums of y, u*y and u^2*y, all
+    available from prefix sums, where u = x - c is taken from the midpoint c
+    of the data range: far from 0 the terms of the uncentered expansion
+    cancel.
     """
 
     def __init__(self, x_sorted: np.ndarray, y_sorted: np.ndarray):
         self.x = x_sorted
         self.y = y_sorted
+        self.center = 0.5 * (x_sorted[0] + x_sorted[-1])
+        u = x_sorted - self.center
         z = np.zeros(1)
         self.cum_y = np.concatenate([z, np.cumsum(y_sorted)])
-        self.cum_xy = np.concatenate([z, np.cumsum(x_sorted * y_sorted)])
-        self.cum_x2y = np.concatenate([z, np.cumsum(x_sorted ** 2 * y_sorted)])
-        self.cum_1 = np.concatenate([z, np.cumsum(np.ones_like(x_sorted))])
-        self.cum_x = np.concatenate([z, np.cumsum(x_sorted)])
-        self.cum_x2 = np.concatenate([z, np.cumsum(x_sorted ** 2)])
+        self.cum_uy = np.concatenate([z, np.cumsum(u * y_sorted)])
+        self.cum_u2y = np.concatenate([z, np.cumsum(u ** 2 * y_sorted)])
+        self.cum_1 = np.concatenate([z, np.cumsum(np.ones_like(u))])
+        self.cum_u = np.concatenate([z, np.cumsum(u)])
+        self.cum_u2 = np.concatenate([z, np.cumsum(u ** 2)])
 
     def _window(self, cum, lo, hi):
         return cum[hi] - cum[lo]
 
+    def _windows(self, t: np.ndarray, h: float):
+        """Index range [lo, hi) of the points with |t - x_i| < h, per query."""
+        if np.all(t[1:] >= t[:-1]):
+            # Ascending queries: place the n points among the queries and
+            # count, which is cheaper than a binary search per query.
+            m = t.size
+            first_past = np.searchsorted(t - h, self.x, side="left")
+            first_within = np.searchsorted(t + h, self.x, side="right")
+            return (np.cumsum(np.bincount(first_past, minlength=m + 1)[:m]),
+                    np.cumsum(np.bincount(first_within, minlength=m + 1)[:m]))
+        return (np.searchsorted(self.x, t - h, side="right"),
+                np.searchsorted(self.x, t + h, side="left"))
+
     def evaluate(self, t: np.ndarray, h: float) -> np.ndarray:
-        lo = np.searchsorted(self.x, t - h, side="right")
-        hi = np.searchsorted(self.x, t + h, side="left")
+        lo, hi = self._windows(t, h)
         h2 = h * h
+        tc = t - self.center
         s_y = self._window(self.cum_y, lo, hi)
-        s_xy = self._window(self.cum_xy, lo, hi)
-        s_x2y = self._window(self.cum_x2y, lo, hi)
+        s_uy = self._window(self.cum_uy, lo, hi)
+        s_u2y = self._window(self.cum_u2y, lo, hi)
         s_1 = self._window(self.cum_1, lo, hi)
-        s_x = self._window(self.cum_x, lo, hi)
-        s_x2 = self._window(self.cum_x2, lo, hi)
-        num = s_y - (t * t * s_y - 2.0 * t * s_xy + s_x2y) / h2
-        den = s_1 - (t * t * s_1 - 2.0 * t * s_x + s_x2) / h2
+        s_u = self._window(self.cum_u, lo, hi)
+        s_u2 = self._window(self.cum_u2, lo, hi)
+        num = s_y - (tc * tc * s_y - 2.0 * tc * s_uy + s_u2y) / h2
+        den = s_1 - (tc * tc * s_1 - 2.0 * tc * s_u + s_u2) / h2
         ok = den > 1e-12
         vals = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
         if not np.all(ok):

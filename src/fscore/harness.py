@@ -27,7 +27,7 @@ from .estimators import LabeledDataset, SmoothnessSpec, default_bandwidth, fit_f
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
                         make_two_point_family)
-from .threshold import ScoreSample, default_tolerance, empirical_threshold
+from .threshold import ScoreSample, empirical_threshold
 
 _CELL_SEED_STRIDE = 1_000_003
 
@@ -44,11 +44,6 @@ class ExperimentConfig:
     seed: int = 0
     oracle_atoms: int = 200_000
     workers: int = 1
-    # Root-solve for theta_hat: bisection at the rate-matched accuracy
-    # n^{-beta/(2 beta + d)} (the statistically sufficient default), or
-    # "exact" / a fixed float tolerance.
-    threshold_method: str = "bisect"
-    threshold_tol: object = "auto"
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -148,18 +143,16 @@ def _replicate(family, oracle, cfg, n, rep_seed):
         return None
     big_n = cfg.unlabeled_size(n)
     x_unl = np.asarray(family.sampler(rng, big_n), dtype=float).reshape(big_n, family.d)
+    if family.d == 1:
+        # theta_hat depends only on the multiset of scores, so the order of
+        # the unlabeled points is free; sorted queries make the estimator's
+        # window searches fast.
+        x_unl.sort(axis=0)
     est_cfg = resolve_estimator(cfg.estimator, n, family)
     eta_hat = fit_from_config(LabeledDataset(points=x_lab, labels=y_lab), est_cfg)
     scores_unl = np.asarray(eta_hat.evaluate(x_unl))
-    spec = family.smoothness
-    if cfg.threshold_tol == "auto":
-        tol = default_tolerance(n, spec.beta if spec else None,
-                                family.d if spec else None)
-    else:
-        tol = float(cfg.threshold_tol)
     theta_hat = empirical_threshold(ScoreSample(values=scores_unl, n_source=n),
-                                    FBetaParams(b=cfg.b), tol=tol,
-                                    method=cfg.threshold_method)
+                                    FBetaParams(b=cfg.b))
     scores_oracle = np.asarray(eta_hat.evaluate(oracle.dist.support))
     return {
         "theta_hat": theta_hat,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import FBetaParams
+from .discrete import FBetaParams, require_finite
 from .estimators import LabeledDataset, RegressionEstimate, fit_from_config
 from .threshold import ScoreSample, empirical_threshold
 
@@ -32,6 +32,7 @@ class UnlabeledDataset:
         if points.size == 0:
             points = points.reshape(0, points.shape[1] if points.ndim == 2 else 1)
         points = np.atleast_2d(points)
+        require_finite(points, "unlabeled dataset")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
 
@@ -108,8 +109,8 @@ class PluginClassifier:
 
 
 def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
-                 estimator_config: dict, params: FBetaParams = FBetaParams(),
-                 tol: float | None = None) -> PluginClassifier:
+                 estimator_config: dict,
+                 params: FBetaParams = FBetaParams()) -> PluginClassifier:
     """Fit eta_hat on the labeled data, calibrate theta_hat on the unlabeled
     data (augmented with the labeled features when N < n) and assemble the
     classifier with provenance."""
@@ -132,7 +133,7 @@ def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
         points = unlabeled.points
     scores = np.asarray(eta_hat.evaluate(points))
     sample = ScoreSample(values=scores, n_source=n)
-    theta_hat = empirical_threshold(sample, params, tol=tol)
+    theta_hat = empirical_threshold(sample, params)
     provenance = {
         "n": n,
         "N": big_n,

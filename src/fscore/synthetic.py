@@ -199,8 +199,7 @@ def verify_strong_density(dist: AnalyticDistribution, n_scan: int = 50_000,
 # Smooth one-dimensional family.
 
 def _theta_for_grid(eta_values: np.ndarray, b: float = 1.0) -> float:
-    k = eta_values.size
-    return solve_threshold(eta_values, np.full(k, 1.0 / k), b)
+    return solve_threshold(eta_values, b=b)
 
 
 def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,

@@ -1,8 +1,8 @@
 """Empirical threshold calibration from scores on the unlabeled sample.
 
 theta_hat solves  b^2 * theta * mean(s) = mean((s - theta)_+)  over the
-score sample s (fitted regression values on the unlabeled points).  The
-sort-based solver is exact; bisection is kept behind ``method="bisect"``.
+score sample s (fitted regression values on the unlabeled points), exactly,
+with the sort-based solver of ``core.solve_threshold``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import solve_threshold, solve_threshold_bisect, threshold_equation
-from .discrete import FBetaParams
+from .core import ROOT_RESIDUAL_TOL, solve_threshold
+from .discrete import FBetaParams, require_finite
 
 
 class DegenerateScoreSample(UserWarning):
@@ -27,8 +27,7 @@ class DegenerateScoreSample(UserWarning):
 class ScoreSample:
     """Regression scores evaluated on the unlabeled sample.
 
-    ``n_source`` optionally records the labeled-sample size behind the fit,
-    used for the rate-matched default tolerance.
+    ``n_source`` optionally records the labeled-sample size behind the fit.
     """
 
     values: np.ndarray
@@ -38,6 +37,7 @@ class ScoreSample:
         values = np.asarray(self.values, dtype=float).ravel()
         if values.size == 0:
             raise ValueError("score sample must be nonempty")
+        require_finite(values, "score sample")
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("scores must lie in [0, 1]")
         values.setflags(write=False)
@@ -76,45 +76,28 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def default_tolerance(n_source: int | None, beta: float | None = None,
-                      d: int | None = None) -> float:
-    """Rate-matched tolerance n^{-beta/(2 beta + d)} when the smoothness is
-    known, else 1e-10."""
-    if n_source is not None and beta is not None and d is not None:
-        return float(n_source) ** (-beta / (2.0 * beta + d))
-    return 1e-10
-
-
-def empirical_threshold(sample: ScoreSample, params: FBetaParams = FBetaParams(),
-                        tol: float | None = None, method: str = "exact") -> float:
+def empirical_threshold(sample: ScoreSample,
+                        params: FBetaParams = FBetaParams()) -> float:
     """Root theta_hat of the empirical threshold equation on [0, 1/(1+b^2)].
 
-    ``tol`` is the additive accuracy of the solve.  The exact method ignores
-    it beyond a residual sanity check; bisection localizes the root to an
-    interval of width ``tol``, which suffices statistically at the
-    rate-matched default n^{-beta/(2 beta + d)}.
+    The root is exact and depends only on the multiset of scores: reordering
+    the sample returns the same float.  A residual above
+    (b^2 + 1) * ROOT_RESIDUAL_TOL raises ``ArithmeticError``.
     """
-    if tol is None:
-        tol = 1e-10
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     values = sample.values
-    weights = np.full(values.size, 1.0 / values.size)
-    if float(values.mean()) == 0.0:
+    mean = float(values.mean())
+    if mean == 0.0:
         warnings.warn("all scores are zero; returning theta_hat = 0",
                       DegenerateScoreSample)
         return 0.0
-    if method == "exact":
-        theta = solve_threshold(values, weights, params.b)
-    elif method == "bisect":
-        theta = solve_threshold_bisect(values, weights, params.b, tol=tol)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    # The defining map has slope at most b^2 * mean(s) + 1 <= b^2 + 1, so a
-    # theta accurate to tol has residual at most (b^2 + 1) tol.
-    residual = threshold_equation(theta, values, weights, params.b)
-    if abs(residual) > (params.b2 + 1.0) * tol + 1e-12:
-        raise ArithmeticError(f"threshold residual {residual!r} exceeds tol={tol!r}")
+    theta = solve_threshold(values, b=params.b)
+    active = values - theta
+    np.maximum(active, 0.0, out=active)
+    residual = params.b2 * theta * mean - float(active.mean())
+    # b^2 + 1 bounds the slope of the equation
+    limit = (params.b2 + 1.0) * ROOT_RESIDUAL_TOL
+    if abs(residual) > limit + 1e-12:
+        raise ArithmeticError(f"threshold residual {residual!r} exceeds {limit!r}")
     return theta
 
 

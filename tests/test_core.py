@@ -88,6 +88,37 @@ def test_threshold_invariants(etas, b):
     if float(weights @ values) > 0:
         resid = fs.threshold_equation(theta, values, weights, b)
         assert abs(resid) < 1e-9
+    # the uniform route (no weights) solves the same equation
+    assert fs.solve_threshold(values, b=b) == pytest.approx(theta, abs=1e-12)
+    assert fs.solve_threshold(values, b=b) == pytest.approx(
+        fs.solve_threshold_bisect(values, weights, b, tol=1e-13), abs=1e-11)
+
+
+def uniform_route_cases():
+    rng = np.random.default_rng(21)
+    yield np.array([0.3])
+    yield np.array([1.0])
+    yield np.zeros(6)
+    yield np.array([0.0, 0.0, 0.0, 0.8])
+    yield np.full(9, 0.25)
+    yield np.repeat([0.1, 0.5, 0.5, 0.9], 5)
+    for size in (2, 17, 500):
+        yield rng.random(size)
+        yield rng.integers(0, 5, size) / 4.0  # heavy ties, zeros and ones
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+def test_uniform_route_matches_weighted_and_bisect(b):
+    for values in uniform_route_cases():
+        weights = np.full(values.size, 1.0 / values.size)
+        theta = fs.solve_threshold(values, b=b)
+        if not values.any():
+            assert theta == 0.0
+            continue
+        assert theta == pytest.approx(fs.solve_threshold(values, weights, b),
+                                      abs=1e-12)
+        assert theta == pytest.approx(
+            fs.solve_threshold_bisect(values, weights, b, tol=1e-13), abs=1e-11)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,15 +55,35 @@ def test_kernel_recovers_linear_eta():
 
 
 def test_kernel_fast_path_matches_general_path():
-    data = make_data(n=500, seed=2)
-    grid = np.linspace(0, 1, 101).reshape(-1, 1)
-    fast = fs.fit_kernel(data, h=0.1).evaluate(grid)
-    # the generic chunked path is exercised via a 2-d embedding with a
-    # zeroed second coordinate
-    data2 = LabeledDataset(points=np.hstack([data.points, np.zeros((data.n, 1))]),
-                           labels=data.labels)
-    slow = fs.fit_kernel(data2, h=0.1).evaluate(np.hstack([grid, np.zeros((101, 1))]))
-    np.testing.assert_allclose(fast, slow, atol=1e-9)
+    base = make_data(n=500, seed=2)
+    # features far from 0 must not cost the prefix sums their accuracy
+    for offset in (0.0, 1e3, 1e5, 1e6):
+        data = LabeledDataset(points=base.points + offset, labels=base.labels)
+        grid = np.linspace(0, 1, 101).reshape(-1, 1) + offset
+        fast = fs.fit_kernel(data, h=0.1).evaluate(grid)
+        # the generic chunked path is exercised via a 2-d embedding with a
+        # zeroed second coordinate
+        data2 = LabeledDataset(points=np.hstack([data.points, np.zeros((data.n, 1))]),
+                               labels=data.labels)
+        slow = fs.fit_kernel(data2, h=0.1).evaluate(
+            np.hstack([grid, np.zeros((101, 1))]))
+        np.testing.assert_allclose(fast, slow, atol=1e-9, err_msg=f"offset {offset}")
+
+
+def test_kernel_fast_path_query_order():
+    # ascending and shuffled queries find their windows by different
+    # searches, which must agree exactly, also on queries at distance
+    # exactly h from a point, where the window edge decides
+    data = make_data(n=200, seed=4)
+    x, h = data.points[:, 0], 0.1
+    upper, lower = x + h, x - h
+    edges = np.concatenate([upper[upper - h == x], lower[lower + h == x]])
+    assert edges.size > 100
+    queries = np.concatenate([edges, np.linspace(0, 1, 101)]).reshape(-1, 1)
+    est = fs.fit_kernel(data, h=h)
+    ascending = np.argsort(queries[:, 0])
+    np.testing.assert_array_equal(est.evaluate(queries[ascending]),
+                                  est.evaluate(queries)[ascending])
 
 
 def test_kernel_empty_window_falls_back_to_nearest():
@@ -124,3 +146,16 @@ def test_csv_round_trip(tmp_path):
     back = LabeledDataset.from_csv(path)
     np.testing.assert_array_equal(back.points, data.points)
     np.testing.assert_array_equal(back.labels, data.labels)
+
+
+def test_kernel_fast_path_memory_bounded():
+    # blocks of queries bound the temporaries; the output dominates
+    est = fs.fit_kernel(make_data(n=2000, seed=5), h=0.08)
+    queries = np.sort(np.random.default_rng(6).random(4_000_000))[:, None]
+    tracemalloc.start()
+    try:
+        out = est.evaluate(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes

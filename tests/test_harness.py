@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fscore as fs
+from fscore import harness
 from fscore.harness import (ExperimentConfig, emit_report, read_rate_table_csv,
                             run_dkw_check, run_rate_experiment,
                             run_threshold_experiment)
@@ -113,3 +114,24 @@ def test_emit_byte_identical(tmp_path):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         run_rate_experiment(ExperimentConfig(family="nope", **SMALL))
+
+
+def test_sorted_unlabeled_draw_keeps_excess():
+    # _replicate sorts the 1-d unlabeled draw; redrawing it in the order it
+    # was sampled must give the same theta_hat and excess, bit for bit
+    cfg = ExperimentConfig(n_rule="n2", n_grid=(300, 600), reps=1, seed=3,
+                           oracle_atoms=20_000)
+    family = harness.build_family(cfg)
+    oracle = harness._Oracle(family, cfg.oracle_atoms, cfg.b)
+    n, seed = 300, 17
+    got = harness._replicate(family, oracle, cfg, n, seed)
+    rng = np.random.default_rng(seed)
+    x = family.sampler(rng, n).reshape(n, 1)
+    y = (rng.random(n) < family.eta(x)).astype(float)
+    assert y.sum() > 0
+    x_unl = family.sampler(rng, n * n).reshape(n * n, 1)
+    est = fs.fit_from_config(fs.LabeledDataset(points=x, labels=y),
+                             harness.resolve_estimator(cfg.estimator, n, family))
+    theta = fs.empirical_threshold(fs.ScoreSample(values=est.evaluate(x_unl)))
+    assert got["theta_hat"] == theta
+    assert got["excess"] == oracle.excess(est.evaluate(oracle.dist.support), theta)

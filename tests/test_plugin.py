@@ -94,3 +94,26 @@ def test_predictions_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x_1,prediction"
     assert lines[1].endswith(",0") and lines[2].endswith(",1")
+
+
+def _trained_kernel_model():
+    _, labeled, unlabeled = make_sets(n=200, big_n=200)
+    return fs.train_plugin(labeled, unlabeled, {"method": "kernel"})
+
+
+ENTRY_POINTS = {
+    "labeled": lambda bad: LabeledDataset(points=np.array([[0.1], [bad]]),
+                                          labels=np.array([0.0, 1.0])),
+    "unlabeled": lambda bad: fs.UnlabeledDataset(points=np.array([[0.1], [bad]])),
+    "scores": lambda bad: fs.ScoreSample(values=np.array([0.1, bad])),
+    "evaluate": lambda bad: _trained_kernel_model().eta_hat.evaluate(
+        np.array([[0.1], [bad]])),
+    "predict": lambda bad: _trained_kernel_model().predict(np.array([[0.1], [bad]])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_input_rejected(entry, bad):
+    with pytest.raises(ValueError, match="row 1 is not finite"):
+        ENTRY_POINTS[entry](bad)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,24 +31,27 @@ def test_empty_sample_rejected():
 
 
 def test_nonpositive_tol_rejected():
-    s = fs.ScoreSample(values=np.array([0.5]))
     with pytest.raises(ValueError):
-        fs.empirical_threshold(s, tol=0.0)
-
-
-def test_default_tolerance():
-    assert fs.default_tolerance(1000, beta=1.0, d=1) == pytest.approx(1000 ** (-1 / 3))
-    assert fs.default_tolerance(None) == 1e-10
-    assert fs.default_tolerance(1000) == 1e-10
+        fs.solve_threshold_bisect(np.array([0.5]), np.array([1.0]), tol=0.0)
 
 
 def test_bisect_matches_exact_within_tol():
     rng = np.random.default_rng(7)
     for _ in range(30):
-        s = fs.ScoreSample(values=rng.random(50))
-        exact = fs.empirical_threshold(s, method="exact")
-        approx = fs.empirical_threshold(s, method="bisect", tol=1e-6)
+        values = rng.random(50)
+        exact = fs.empirical_threshold(fs.ScoreSample(values=values))
+        approx = fs.solve_threshold_bisect(values, np.full(50, 1 / 50), tol=1e-6)
         assert approx == pytest.approx(exact, abs=1e-6)
+
+
+def test_shuffled_sample_same_threshold():
+    rng = np.random.default_rng(12)
+    for size in (1, 7, 1000, 200_000):
+        values = np.round(rng.random(size), 3)  # ties included
+        theta = fs.empirical_threshold(fs.ScoreSample(values=values))
+        for _ in range(3):
+            shuffled = rng.permutation(values)
+            assert fs.empirical_threshold(fs.ScoreSample(values=shuffled)) == theta
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,3 +133,16 @@ def test_gap_bound_controls_threshold_error():
 
         bound = fs.cdf_gap_bound(cdf, s, dist.p_y1, breakpoints=dist.eta)
         assert bound >= abs(theta_hat - theta_star) - 1e-10
+
+
+def test_solve_memory_bounded():
+    # the uniform solve holds a sorted copy and one running-sum buffer
+    values = np.random.default_rng(4).random(4_000_000)
+    sample = fs.ScoreSample(values=values)
+    tracemalloc.start()
+    try:
+        fs.empirical_threshold(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * values.nbytes
