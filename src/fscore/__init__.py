@@ -13,8 +13,7 @@ from .discrete import (DiscreteDistribution, FBetaParams, as_bits,
                        random_distribution, uniform_eta_grid)
 from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
                          LocalPolyEstimate, RegressionEstimate,
-                         SmoothnessSpec, default_bandwidth, fit_from_config,
-                         fit_kernel, fit_knn, fit_local_poly)
+                         SmoothnessSpec, default_bandwidth, fit_from_config)
 from .harness import (ExperimentConfig, RateFitResult, build_family,
                       emit_report, run_dkw_check, run_rate_experiment,
                       run_threshold_experiment)
@@ -44,8 +43,8 @@ __all__ = [
     "as_bits", "bayes_classifier", "bayes_threshold", "brute_force_optimum",
     "build_family", "build_hard_family", "cdf_gap_bound", "compute_bprime",
     "default_bandwidth", "emit_report", "empirical_cdf",
-    "empirical_threshold", "excess_fbeta", "fit_from_config", "fit_kernel",
-    "fit_knn", "fit_local_poly", "hard_family_mean_eta",
+    "empirical_threshold", "excess_fbeta", "fit_from_config",
+    "hard_family_mean_eta",
     "hard_family_rate_params", "make_constant_family", "make_smooth_1d_family",
     "make_two_point_family", "population_fbeta", "randomized_identity_suite",
     "random_distribution", "run_dkw_check", "run_rate_experiment",

@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .discrete import FBetaParams
 from .estimators import LabeledDataset
-from .harness import (ExperimentConfig, emit_report, rate_result_record,
-                      run_dkw_check, run_rate_experiment,
-                      run_threshold_experiment)
+from .harness import (ExperimentConfig, emit_report, run_dkw_check,
+                      run_rate_experiment, run_threshold_experiment)
 from .oracle import randomized_identity_suite
 from .plugin import (PluginClassifier, UnlabeledDataset, predictions_to_csv,
                      train_plugin)
@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                            "JSON object with hyperparameters")
         p.add_argument("--b", type=float)
         p.add_argument("--n-rule", help='"n", "n2" or a fixed integer')
-        p.add_argument("--workers", type=int)
         p.add_argument("--format", default="csv",
                        choices=["csv", "json", "svg-plot"])
         p.add_argument("--out", default="reports")
@@ -97,22 +96,17 @@ def _parse_estimator(raw) -> dict:
     return {"method": raw}
 
 
-def _int_list(raw) -> list:
+def _number_list(raw, kind) -> list:
+    """A comma-separated string or a JSON list, as a list of ``kind``."""
     if isinstance(raw, str):
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    return [int(v) for v in raw]
-
-
-def _float_list(raw) -> list:
-    if isinstance(raw, str):
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-    return [float(v) for v in raw]
+        raw = [tok for tok in raw.split(",") if tok.strip()]
+    return [kind(v) for v in raw]
 
 
 def _experiment_config(args) -> ExperimentConfig:
     cfg = _load_config(args.config)
     if args.n_grid is not None:
-        cfg["n_grid"] = _int_list(args.n_grid)
+        cfg["n_grid"] = _number_list(args.n_grid, int)
     if args.reps is not None:
         cfg["reps"] = args.reps
     if args.seed is not None:
@@ -126,10 +120,9 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.b is not None:
         cfg["b"] = args.b
     if args.n_rule is not None:
-        cfg["n_rule"] = args.n_rule if args.n_rule in ("n", "n2") \
-            else int(args.n_rule)
-    if args.workers is not None:
-        cfg["workers"] = args.workers
+        # integers become a fixed N; ExperimentConfig checks the rest
+        cfg["n_rule"] = int(args.n_rule) if args.n_rule.lstrip("+-").isdigit() \
+            else args.n_rule
     if "n_grid" in cfg:
         cfg["n_grid"] = tuple(cfg["n_grid"])
     return ExperimentConfig(**cfg)
@@ -142,14 +135,14 @@ def _run(args) -> int:
             else run_threshold_experiment
         result = runner(cfg)
         paths = emit_report(result, args.format, args.out)
-        summary = rate_result_record(result)
+        summary = asdict(result)
         summary["written"] = paths
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     if args.command == "dkw":
         cfg = _load_config(args.config)
-        n_values = _int_list(cfg.get("n_values", args.n_values))
-        t_values = _float_list(cfg.get("t_values", args.t_values))
+        n_values = _number_list(cfg.get("n_values", args.n_values), int)
+        t_values = _number_list(cfg.get("t_values", args.t_values), float)
         reps = int(cfg.get("reps", args.reps))
         seed = int(cfg.get("seed", args.seed))
         rows = run_dkw_check(n_values, t_values, reps, seed=seed)

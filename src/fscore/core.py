@@ -142,17 +142,11 @@ def population_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaP
     return score
 
 
-def bayes_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParams(),
-                    method: str = "exact") -> float:
+def bayes_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParams()) -> float:
     """Optimal threshold theta*: root of b^2*theta*P(Y=1) = E(eta(X)-theta)_+."""
     if dist.p_y1 <= 0:
         raise ValueError("P(Y=1) must be positive for the optimal threshold")
-    if method == "exact":
-        theta = solve_threshold(dist.eta, dist.mass, params.b)
-    elif method == "bisect":
-        theta = solve_threshold_bisect(dist.eta, dist.mass, params.b, tol=1e-12)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    theta = solve_threshold(dist.eta, dist.mass, params.b)
     residual = threshold_equation(theta, dist.eta, dist.mass, params.b)
     if abs(float(residual)) > ROOT_RESIDUAL_TOL:
         raise ArithmeticError(f"threshold residual {float(residual)!r} exceeds tolerance")
@@ -175,11 +169,23 @@ def excess_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParam
         return best - population_fbeta(dist, bits, params)
     if mode == "lemma1":
         theta = bayes_threshold(dist, params)
-        star = (dist.eta > theta).astype(np.int64)
-        num = float(dist.mass @ (np.abs(dist.eta - theta) * (star != bits)))
-        den = params.b2 * dist.p_y1 + float(dist.mass @ bits)
-        value = num / den
+        value = lemma1_excess(dist.mass, np.abs(dist.eta - theta),
+                              dist.eta > theta, bits, params.b2, dist.p_y1)
         if not params.normalized:
             value *= 1.0 + params.b2
         return value
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def lemma1_excess(mass, gap, star, bits, b2: float, p_y1: float) -> float:
+    """Normalized excess F_b(g*) - F_b(g) by the weighted-disagreement
+    identity (Lemma 1):
+
+        sum_i mass_i |eta_i - theta*| 1{g_i != g*_i} / (b^2 P(Y=1) + P(g = 1))
+
+    with ``gap`` = |eta - theta*|, ``star`` the bits of g* = 1{eta > theta*}
+    and ``bits`` those of g, all over the support points.
+    """
+    num = float(mass @ (gap * (bits != star)))
+    den = b2 * p_y1 + float(mass @ bits)
+    return num / den

@@ -7,12 +7,11 @@ substrate for all exact population-level computations.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .table import read_table, write_table
 
 MASS_TOL = 1e-12
 
@@ -94,39 +93,15 @@ class DiscreteDistribution:
 
     def to_csv(self, path) -> None:
         """Write one row per support point, columns x_1..x_d, mass, eta."""
-        with open(path, "w", newline="") as fh:
-            self._write_csv(fh)
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{i + 1}" for i in range(self.d)] + ["mass", "eta"])
-        for x, m, e in zip(self.support, self.mass, self.eta):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(m)), repr(float(e))])
+        write_table(path, [f"x_{i + 1}" for i in range(self.d)] + ["mass", "eta"],
+                    [*self.support.T, self.mass, self.eta])
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteDistribution":
-        with open(path, newline="") as fh:
-            return cls._read_csv(fh)
-
-    @classmethod
-    def from_csv_string(cls, text: str) -> "DiscreteDistribution":
-        return cls._read_csv(io.StringIO(text))
-
-    @classmethod
-    def _read_csv(cls, fh) -> "DiscreteDistribution":
-        reader = csv.reader(fh)
-        header = next(reader)
+        header, values = read_table(path)
         if header[-2:] != ["mass", "eta"]:
             raise ValueError("expected trailing columns 'mass' and 'eta'")
-        d = len(header) - 2
-        rows = [list(map(float, row)) for row in reader if row]
-        arr = np.asarray(rows, dtype=float)
-        return cls(support=arr[:, :d], mass=arr[:, d], eta=arr[:, d + 1])
+        return cls(support=values[:, :-2], mass=values[:, -2], eta=values[:, -1])
 
 
 def as_bits(dist: DiscreteDistribution, g) -> np.ndarray:
@@ -166,10 +141,3 @@ def uniform_eta_grid(k: int) -> DiscreteDistribution:
     eta = (np.arange(k) + 0.5) / k
     mass = np.full(k, 1.0 / k)
     return DiscreteDistribution(support=eta[:, None], mass=mass, eta=eta)
-
-
-def _as_float(x) -> float:
-    v = float(x)
-    if math.isnan(v):
-        raise ValueError("nan is not a valid value")
-    return v

@@ -9,8 +9,6 @@ a_n = n^{2 beta / (2 beta + d)}.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -18,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discrete import require_finite
+from .table import read_table, write_table
 
 _CHUNK = 512  # queries per pairwise-distance block
 _PREFIX_CHUNK = 65_536  # queries per block of the 1-d Epanechnikov fast path
@@ -29,8 +28,9 @@ class LabeledDataset:
     labels: np.ndarray  # (n,) in {0, 1}
 
     def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        labels = np.asarray(self.labels, dtype=float).ravel()
+        # copies, so that freezing them leaves the caller's arrays writeable
+        points = np.atleast_2d(np.array(self.points, dtype=float))
+        labels = np.array(self.labels, dtype=float).ravel()
         if points.shape[0] != labels.size or labels.size == 0:
             raise ValueError("points and labels must be nonempty and equal length")
         require_finite(points, "labeled dataset")
@@ -50,31 +50,15 @@ class LabeledDataset:
         return self.points.shape[1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x_{i + 1}" for i in range(self.d)] + ["y"])
-            for x, y in zip(self.points, self.labels):
-                writer.writerow([repr(float(v)) for v in x] + [repr(int(y))])
+        write_table(path, [f"x_{i + 1}" for i in range(self.d)] + ["y"],
+                    [*self.points.T, self.labels.astype(np.int64)])
 
     @classmethod
     def from_csv(cls, path) -> "LabeledDataset":
-        with open(path, newline="") as fh:
-            return cls._read_csv(fh)
-
-    @classmethod
-    def from_csv_string(cls, text: str) -> "LabeledDataset":
-        return cls._read_csv(io.StringIO(text))
-
-    @classmethod
-    def _read_csv(cls, fh):
-        reader = csv.reader(fh)
-        header = next(reader)
+        header, values = read_table(path)
         if header[-1] != "y":
             raise ValueError("expected trailing column 'y'")
-        d = len(header) - 1
-        rows = [list(map(float, row)) for row in reader if row]
-        arr = np.asarray(rows, dtype=float)
-        return cls(points=arr[:, :d], labels=arr[:, d])
+        return cls(points=values[:, :-1], labels=values[:, -1])
 
 
 @dataclass(frozen=True)
@@ -133,6 +117,8 @@ def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
 
 
 class KNNEstimate(RegressionEstimate):
+    """Mean label of the k nearest points (Euclidean; ties -> lowest index)."""
+
     method = "knn"
 
     def __init__(self, data: LabeledDataset, k: int):
@@ -165,6 +151,8 @@ def _epanechnikov(u2: np.ndarray) -> np.ndarray:
 
 
 class KernelEstimate(RegressionEstimate):
+    """Locally constant kernel regression; empty windows fall back to 1-NN."""
+
     method = "kernel"
 
     def __init__(self, data: LabeledDataset, h: float, kernel: str = "epanechnikov"):
@@ -291,6 +279,10 @@ class _EpanechnikovPrefix:
 
 
 class LocalPolyEstimate(RegressionEstimate):
+    """Locally weighted polynomial fit with Epanechnikov weights in a radius-h
+    window; singular or underdetermined local designs fall back to the
+    locally constant kernel value."""
+
     method = "local_poly"
 
     def __init__(self, data: LabeledDataset, degree: int, h: float):
@@ -347,46 +339,29 @@ class LocalPolyEstimate(RegressionEstimate):
         return out[0] if single else out
 
 
-def fit_knn(data: LabeledDataset, k: int) -> KNNEstimate:
-    """Mean label of the k nearest points (Euclidean; ties -> lowest index)."""
-    return KNNEstimate(data, k)
-
-
-def fit_kernel(data: LabeledDataset, h: float, kernel: str = "epanechnikov") -> KernelEstimate:
-    """Locally constant kernel regression; empty windows fall back to 1-NN."""
-    return KernelEstimate(data, h, kernel)
-
-
-def fit_local_poly(data: LabeledDataset, degree: int, h: float) -> LocalPolyEstimate:
-    """Locally weighted polynomial fit with Epanechnikov weights in a radius-h
-    window; singular or underdetermined local designs fall back to the
-    locally constant kernel value."""
-    return LocalPolyEstimate(data, degree, h)
-
-
-ESTIMATOR_METHODS = ("knn", "kernel", "local_poly")
+_ESTIMATORS = {"knn": KNNEstimate, "kernel": KernelEstimate,
+               "local_poly": LocalPolyEstimate}
 
 
 def fit_from_config(data: LabeledDataset, config: dict) -> RegressionEstimate:
-    """Dispatch on ``config['method']``; remaining keys are hyperparameters.
+    """Dispatch on ``config['method']`` (default ``'kernel'``); the remaining
+    keys are hyperparameters.
 
-    Missing bandwidth/neighbor counts default to the rate-matched values for
-    the smoothness in ``config['beta']`` (1.0 if absent).
+    This is the one place that fills in rate-matched defaults: missing
+    bandwidths h = n^{-1/(2 beta + d)}, neighbour counts
+    k = ceil(n^{2 beta/(2 beta + d)}) and degrees floor(beta), for the
+    smoothness in ``config['beta']`` (1.0 if absent).
     """
     cfg = dict(config)
-    method = cfg.pop("method")
+    method = cfg.pop("method", "kernel")
+    if method not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator method {method!r}")
     spec = SmoothnessSpec(beta=float(cfg.pop("beta", 1.0)))
     scale = default_bandwidth(data.n, spec, data.d)
-    if method in ("kernel", "local_poly"):
-        cfg.setdefault("h", scale.h)
     if method == "knn":
         cfg.setdefault("k", min(data.n, max(1, int(np.ceil(scale.a_n)))))
+    else:
+        cfg.setdefault("h", scale.h)
     if method == "local_poly":
         cfg.setdefault("degree", int(np.floor(spec.beta)))
-    if method == "knn":
-        return fit_knn(data, **cfg)
-    if method == "kernel":
-        return fit_kernel(data, **cfg)
-    if method == "local_poly":
-        return fit_local_poly(data, **cfg)
-    raise ValueError(f"unknown estimator method {method!r}")
+    return _ESTIMATORS[method](data, **cfg)

@@ -6,27 +6,26 @@ the theoretical exponent; a sup-CDF concentration table and deterministic
 report emission (CSV / JSON / SVG) round out the harness.
 
 Seeding: every (n-index, replication) cell owns the stream
-``default_rng(seed + 1_000_003 * n_index + rep)``; aggregation happens in
-fixed index order, so serial and concurrent runs emit identical tables.
+``default_rng(seed + 1_000_003 * n_index + rep)``, and aggregation happens in
+fixed index order.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import solve_threshold
+from .core import lemma1_excess, solve_threshold
 from .discrete import FBetaParams
-from .estimators import LabeledDataset, SmoothnessSpec, default_bandwidth, fit_from_config
+from .estimators import LabeledDataset, fit_from_config
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
                         make_two_point_family)
+from .table import write_table
 from .threshold import ScoreSample, empirical_threshold
 
 _CELL_SEED_STRIDE = 1_000_003
@@ -43,7 +42,6 @@ class ExperimentConfig:
     reps: int = 50
     seed: int = 0
     oracle_atoms: int = 200_000
-    workers: int = 1
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -51,6 +49,10 @@ class ExperimentConfig:
             raise ValueError("n_grid must be nonempty and strictly increasing")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
+        rule = self.n_rule
+        fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
+        if rule not in ("n", "n2") and not (fixed and rule >= 1):
+            raise ValueError(f"n_rule must be 'n', 'n2' or a positive int, got {rule!r}")
         object.__setattr__(self, "n_grid", grid)
 
     def unlabeled_size(self, n: int) -> int:
@@ -88,33 +90,6 @@ def build_family(cfg: ExperimentConfig) -> AnalyticDistribution:
     raise ValueError(f"unknown family {cfg.family!r}")
 
 
-def resolve_estimator(estimator: dict, n: int, family: AnalyticDistribution) -> dict:
-    """Fill rate-matched hyperparameters that were left implicit."""
-    cfg = dict(estimator)
-    spec = family.smoothness or SmoothnessSpec(beta=1.0)
-    scale = default_bandwidth(n, spec, family.d)
-    method = cfg.get("method", "kernel")
-    cfg["method"] = method
-    if method == "kernel":
-        cfg.setdefault("kernel", "epanechnikov")
-        if "h" not in cfg:
-            cfg["h"] = scale.h * cfg.pop("h_scale", 1.0)
-        else:
-            cfg.pop("h_scale", None)
-    elif method == "knn":
-        if "k" not in cfg:
-            cfg["k"] = min(n, max(1, math.ceil(scale.a_n * cfg.pop("k_scale", 1.0))))
-        else:
-            cfg.pop("k_scale", None)
-    elif method == "local_poly":
-        cfg.setdefault("degree", int(math.floor(spec.beta)))
-        if "h" not in cfg:
-            cfg["h"] = scale.h * cfg.pop("h_scale", 1.0)
-        else:
-            cfg.pop("h_scale", None)
-    return cfg
-
-
 class _Oracle:
     """Discretized exact oracle reused across replications."""
 
@@ -127,10 +102,8 @@ class _Oracle:
         self.p_y1 = self.dist.p_y1
 
     def excess(self, scores: np.ndarray, theta_hat: float) -> float:
-        bits = scores > theta_hat
-        num = float(self.dist.mass @ (self.gap * (bits != self.star)))
-        den = self.b2 * self.p_y1 + float(self.dist.mass @ bits)
-        return num / den
+        return lemma1_excess(self.dist.mass, self.gap, self.star,
+                             scores > theta_hat, self.b2, self.p_y1)
 
 
 def _replicate(family, oracle, cfg, n, rep_seed):
@@ -148,10 +121,11 @@ def _replicate(family, oracle, cfg, n, rep_seed):
         # the unlabeled points is free; sorted queries make the estimator's
         # window searches fast.
         x_unl.sort(axis=0)
-    est_cfg = resolve_estimator(cfg.estimator, n, family)
-    eta_hat = fit_from_config(LabeledDataset(points=x_lab, labels=y_lab), est_cfg)
+    beta = family.smoothness.beta if family.smoothness is not None else 1.0
+    eta_hat = fit_from_config(LabeledDataset(points=x_lab, labels=y_lab),
+                              {**cfg.estimator, "beta": beta})
     scores_unl = np.asarray(eta_hat.evaluate(x_unl))
-    theta_hat = empirical_threshold(ScoreSample(values=scores_unl, n_source=n),
+    theta_hat = empirical_threshold(ScoreSample(values=scores_unl),
                                     FBetaParams(b=cfg.b))
     scores_oracle = np.asarray(eta_hat.evaluate(oracle.dist.support))
     return {
@@ -168,12 +142,7 @@ def _run_experiment(cfg: ExperimentConfig, statistic: str) -> RateFitResult:
     for n_index, n in enumerate(cfg.n_grid):
         seeds = [cfg.seed + _CELL_SEED_STRIDE * n_index + rep
                  for rep in range(cfg.reps)]
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(
-                    lambda s: _replicate(family, oracle, cfg, n, s), seeds))
-        else:
-            results = [_replicate(family, oracle, cfg, n, s) for s in seeds]
+        results = [_replicate(family, oracle, cfg, n, s) for s in seeds]
         values = np.array([r[statistic] for r in results if r is not None])
         if values.size == 0:
             raise RuntimeError(f"all replications degenerate at n={n}")
@@ -263,99 +232,43 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # Report emission: byte-stable CSV / JSON / SVG.
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+_RATE_COLUMNS = ("n", "N", "mean", "se", "median", "zero_fraction")
+_FIT_COLUMNS = ("slope", "intercept", "slope_halfwidth", "theory_slope",
+                "excluded_cells", "inf_rate")
 
 
 def emit_report(result, fmt: str, out_dir: str, stem: str | None = None) -> list:
     """Write the result in the requested format; returns the written paths.
 
-    ``result`` is a RateFitResult or a DKW table (list of row dicts).
+    ``result`` is a RateFitResult (csv: the per-n table and the fit row;
+    json; svg-plot) or a DKW table, a list of row dicts (csv; json).
     Identical inputs produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if isinstance(result, RateFitResult):
-        stem = stem or f"{result.kind}_rate"
-        if fmt == "csv":
-            path = os.path.join(out_dir, f"{stem}.csv")
-            _write_csv(path, result.rows,
-                       ["n", "N", "mean", "se", "median", "zero_fraction"])
-            written.append(path)
-            fit_path = os.path.join(out_dir, f"{stem}_fit.csv")
-            fit_row = {"slope": result.slope, "intercept": result.intercept,
-                       "slope_halfwidth": result.slope_halfwidth,
-                       "theory_slope": result.theory_slope,
-                       "excluded_cells": result.excluded_cells,
-                       "inf_rate": result.inf_rate}
-            _write_csv(fit_path, [fit_row], list(fit_row))
-            written.append(fit_path)
-        elif fmt == "json":
-            path = os.path.join(out_dir, f"{stem}.json")
-            with open(path, "w") as fh:
-                json.dump(rate_result_record(result), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(path)
-        elif fmt == "svg-plot":
-            path = os.path.join(out_dir, f"{stem}.svg")
-            with open(path, "w") as fh:
-                fh.write(_rate_svg(result))
-            written.append(path)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        return written
-    # DKW (or generic) table.
-    rows = list(result)
-    stem = stem or "dkw"
-    if fmt == "csv":
-        path = os.path.join(out_dir, f"{stem}.csv")
-        _write_csv(path, rows, list(rows[0]))
-        written.append(path)
-    elif fmt == "json":
-        path = os.path.join(out_dir, f"{stem}.json")
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
+    rate = isinstance(result, RateFitResult)
+    if fmt not in (("csv", "json", "svg-plot") if rate else ("csv", "json")):
+        raise ValueError(f"unknown format {fmt!r}"
+                         + ("" if rate else " for table results"))
+    rows = result.rows if rate else list(result)
+    base = os.path.join(out_dir, stem or (f"{result.kind}_rate" if rate else "dkw"))
+    if fmt == "json":
+        with open(f"{base}.json", "w") as fh:
+            json.dump(asdict(result) if rate else rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        written.append(path)
-    else:
-        raise ValueError(f"unknown format {fmt!r} for table results")
-    return written
-
-
-def rate_result_record(result: RateFitResult) -> dict:
-    return {"kind": result.kind, "rows": result.rows, "slope": result.slope,
-            "intercept": result.intercept,
-            "slope_halfwidth": result.slope_halfwidth,
-            "theory_slope": result.theory_slope,
-            "excluded_cells": result.excluded_cells,
-            "inf_rate": result.inf_rate, "config": result.config}
+        return [f"{base}.json"]
+    if fmt == "svg-plot":
+        with open(f"{base}.svg", "w") as fh:
+            fh.write(_rate_svg(result))
+        return [f"{base}.svg"]
+    _write_csv(f"{base}.csv", rows, _RATE_COLUMNS if rate else list(rows[0]))
+    if not rate:
+        return [f"{base}.csv"]
+    _write_csv(f"{base}_fit.csv", [vars(result)], _FIT_COLUMNS)
+    return [f"{base}.csv", f"{base}_fit.csv"]
 
 
 def _write_csv(path, rows, columns):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-
-
-def read_rate_table_csv(path) -> list:
-    """Inverse of the CSV table emitter (exact float round-trip via repr)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        columns = next(reader)
-        rows = []
-        for raw in reader:
-            row = {}
-            for c, v in zip(columns, raw):
-                if c in ("n", "N"):
-                    row[c] = int(v)
-                else:
-                    row[c] = float(v)
-            rows.append(row)
-    return rows
+    write_table(path, columns, [[row[c] for row in rows] for c in columns])
 
 
 def _rate_svg(result: RateFitResult, width: int = 640, height: int = 480) -> str:

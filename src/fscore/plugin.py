@@ -7,7 +7,6 @@ use the strict rule 1{eta_hat(x) > theta_hat}.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .discrete import FBetaParams, require_finite
 from .estimators import LabeledDataset, RegressionEstimate, fit_from_config
+from .table import read_table, write_table
 from .threshold import ScoreSample, empirical_threshold
 
 
@@ -28,7 +28,8 @@ class UnlabeledDataset:
     points: np.ndarray  # (N, d); may be empty before augmentation
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writeable
+        points = np.array(self.points, dtype=float)
         if points.size == 0:
             points = points.reshape(0, points.shape[1] if points.ndim == 2 else 1)
         points = np.atleast_2d(points)
@@ -46,20 +47,10 @@ class UnlabeledDataset:
 
     @classmethod
     def from_csv(cls, path) -> "UnlabeledDataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            d = len(header)
-            rows = [list(map(float, row)) for row in reader if row]
-        arr = np.asarray(rows, dtype=float).reshape(-1, d)
-        return cls(points=arr)
+        return cls(points=read_table(path)[1])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x_{i + 1}" for i in range(self.d)])
-            for x in self.points:
-                writer.writerow([repr(float(v)) for v in x])
+        write_table(path, [f"x_{i + 1}" for i in range(self.d)], self.points.T)
 
 
 @dataclass(frozen=True)
@@ -117,23 +108,19 @@ def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
     if float(labeled.labels.sum()) == 0.0:
         raise TrainingDegenerate("all training labels are 0; P_hat(Y=1)=0 "
                                  "makes the threshold equation vacuous")
-    eta_hat = fit_from_config(labeled, estimator_config)
     n, big_n = labeled.n, unlabeled.n
+    if big_n and unlabeled.d != labeled.d:
+        raise ValueError("labeled/unlabeled dimension mismatch")
+    eta_hat = fit_from_config(labeled, estimator_config)
     augmented = big_n < n
-    if augmented:
-        if big_n == 0:
-            points = labeled.points
-        else:
-            if unlabeled.d != labeled.d:
-                raise ValueError("labeled/unlabeled dimension mismatch")
-            points = np.vstack([unlabeled.points, labeled.points])
-    else:
-        if unlabeled.d != labeled.d:
-            raise ValueError("labeled/unlabeled dimension mismatch")
+    if not augmented:
         points = unlabeled.points
+    elif big_n:
+        points = np.vstack([unlabeled.points, labeled.points])
+    else:
+        points = labeled.points
     scores = np.asarray(eta_hat.evaluate(points))
-    sample = ScoreSample(values=scores, n_source=n)
-    theta_hat = empirical_threshold(sample, params)
+    theta_hat = empirical_threshold(ScoreSample(values=scores), params)
     provenance = {
         "n": n,
         "N": big_n,
@@ -148,8 +135,5 @@ def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
 
 def predictions_to_csv(path, points: np.ndarray, bits: np.ndarray) -> None:
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{i + 1}" for i in range(points.shape[1])] + ["prediction"])
-        for x, b in zip(points, np.asarray(bits).ravel()):
-            writer.writerow([repr(float(v)) for v in x] + [str(int(b))])
+    write_table(path, [f"x_{i + 1}" for i in range(points.shape[1])] + ["prediction"],
+                [*points.T, np.asarray(bits).ravel().astype(np.int64)])

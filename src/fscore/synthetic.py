@@ -41,13 +41,6 @@ class MarginSpec:
         if not (0.0 < self.delta0 <= 1.0 / 12.0):
             raise ValueError("delta0 must lie in (0, 1/12]")
 
-    @property
-    def c0_effective(self) -> float:
-        """C0 v delta0^{-alpha}, valid for all delta once the local bound holds."""
-        if math.isinf(self.alpha):
-            return self.C0
-        return max(self.C0, self.delta0 ** (-self.alpha))
-
 
 @dataclass(frozen=True)
 class DensitySpec:
@@ -111,9 +104,6 @@ class AnalyticDistribution:
     smoothness: SmoothnessSpec | None = None
     margin_probabilities: Callable | None = None  # exact P(0<|eta-theta*|<=delta)
     extras: dict = field(default_factory=dict)
-
-    def eta_at(self, x) -> np.ndarray:
-        return np.asarray(self.eta(np.atleast_2d(np.asarray(x, dtype=float))))
 
     def discretize(self, n_atoms: int, seed: int = 0) -> DiscreteDistribution:
         return self.discretizer(n_atoms, seed)
@@ -198,10 +188,6 @@ def verify_strong_density(dist: AnalyticDistribution, n_scan: int = 50_000,
 # ---------------------------------------------------------------------------
 # Smooth one-dimensional family.
 
-def _theta_for_grid(eta_values: np.ndarray, b: float = 1.0) -> float:
-    return solve_threshold(eta_values, b=b)
-
-
 def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
                           slope: float = 0.6, x0: float = 0.5,
                           grid_size: int = 1_000_000) -> AnalyticDistribution:
@@ -221,7 +207,7 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
 
     def theta_of_level(c, k):
         grid = (np.arange(k) + 0.5) / k
-        return _theta_for_grid(eta_with_level(c, grid))
+        return solve_threshold(eta_with_level(c, grid))
 
     def gap(c):
         return theta_of_level(c, grid_size) - c

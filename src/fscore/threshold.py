@@ -7,8 +7,6 @@ with the sort-based solver of ``core.solve_threshold``.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -25,13 +23,9 @@ class DegenerateScoreSample(UserWarning):
 
 @dataclass(frozen=True)
 class ScoreSample:
-    """Regression scores evaluated on the unlabeled sample.
-
-    ``n_source`` optionally records the labeled-sample size behind the fit.
-    """
+    """Regression scores evaluated on the unlabeled sample."""
 
     values: np.ndarray
-    n_source: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
@@ -42,38 +36,6 @@ class ScoreSample:
             raise ValueError("scores must lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_csv(cls, path, n_source: int | None = None) -> "ScoreSample":
-        with open(path, newline="") as fh:
-            return cls._read_csv(fh, n_source)
-
-    @classmethod
-    def from_csv_string(cls, text: str, n_source: int | None = None) -> "ScoreSample":
-        return cls._read_csv(io.StringIO(text), n_source)
-
-    @classmethod
-    def _read_csv(cls, fh, n_source):
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-        start = 1 if rows and not _is_number(rows[0][0]) else 0
-        values = [float(row[0]) for row in rows[start:]]
-        return cls(values=np.asarray(values), n_source=n_source)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["score"])
-            for v in self.values:
-                writer.writerow([repr(float(v))])
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def empirical_threshold(sample: ScoreSample,

@@ -89,6 +89,10 @@ def test_error_record_on_failure(tmp_path, capsys):
     record = json.loads(stderr)
     assert record["error"] == "ValueError"
     assert "bogus" in record["message"]
+    for rule in ("0", "-5", "n3"):
+        code, _, stderr = run_cli(capsys, "rate", "--n-rule", rule,
+                                  "--out", str(tmp_path))
+        assert code != 0 and "n_rule" in json.loads(stderr)["message"]
 
 
 def test_same_seed_byte_identical(tmp_path, capsys):

@@ -88,6 +88,17 @@ def test_dimension_mismatch_rejected():
         fs.train_plugin(labeled, bad, {"method": "kernel"})
 
 
+def test_datasets_copy_the_callers_arrays():
+    points, labels = np.array([[0.1], [0.2]]), np.array([0.0, 1.0])
+    labeled = LabeledDataset(points=points, labels=labels)
+    unlabeled = fs.UnlabeledDataset(points=points)
+    assert points.flags.writeable and labels.flags.writeable
+    assert not (labeled.points.flags.writeable or unlabeled.points.flags.writeable)
+    points[0, 0], labels[0] = 0.9, 1.0
+    assert labeled.points[0, 0] == 0.1 and labeled.labels[0] == 0.0
+    assert unlabeled.points[0, 0] == 0.1
+
+
 def test_predictions_csv(tmp_path):
     path = tmp_path / "preds.csv"
     predictions_to_csv(path, np.array([[0.1], [0.9]]), np.array([0, 1]))

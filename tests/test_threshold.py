@@ -69,14 +69,6 @@ def test_empirical_threshold_invariants(scores, b):
     assert 0.0 <= theta <= params.score_cap + 1e-12
 
 
-def test_score_csv_round_trip(tmp_path):
-    s = fs.ScoreSample(values=np.array([0.25, 0.5, 0.125]))
-    path = tmp_path / "scores.csv"
-    s.to_csv(path)
-    back = fs.ScoreSample.from_csv(path)
-    np.testing.assert_array_equal(back.values, s.values)
-
-
 def test_empirical_cdf_right_continuous():
     cdf = fs.empirical_cdf(np.array([0.2, 0.4, 0.4, 0.8]))
     assert cdf(0.1) == 0.0
