@@ -23,6 +23,11 @@ from .plugin import (PluginClassifier, UnlabeledDataset, predictions_to_csv,
                      train_plugin)
 
 
+# a flag overrides the config file, which overrides these
+_DKW_DEFAULTS = {"n_values": "100,1000,10000", "t_values": "0.01,0.05,0.1",
+                 "reps": 2000, "seed": 0}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fscore",
@@ -49,10 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dkw", help="sup-CDF concentration check")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--n-values", default="100,1000,10000")
-    p.add_argument("--t-values", default="0.01,0.05,0.1")
-    p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-values")
+    p.add_argument("--t-values")
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--out", default="reports")
 
@@ -103,28 +108,23 @@ def _number_list(raw, kind) -> list:
     return [kind(v) for v in raw]
 
 
+def _with_flags(cfg: dict, args, keys) -> dict:
+    """``cfg`` updated with each flag in ``keys`` given on the command line."""
+    cfg.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    return cfg
+
+
 def _experiment_config(args) -> ExperimentConfig:
-    cfg = _load_config(args.config)
-    if args.n_grid is not None:
-        cfg["n_grid"] = _number_list(args.n_grid, int)
-    if args.reps is not None:
-        cfg["reps"] = args.reps
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.family is not None:
-        cfg["family"] = args.family
-    if args.estimator is not None:
-        cfg["estimator"] = _parse_estimator(args.estimator)
-    elif "estimator" in cfg:
+    cfg = _with_flags(_load_config(args.config), args,
+                      ("n_grid", "reps", "seed", "family", "estimator", "b"))
+    if "n_grid" in cfg:
+        cfg["n_grid"] = _number_list(cfg["n_grid"], int)
+    if "estimator" in cfg:
         cfg["estimator"] = _parse_estimator(cfg["estimator"])
-    if args.b is not None:
-        cfg["b"] = args.b
     if args.n_rule is not None:
         # integers become a fixed N; ExperimentConfig checks the rest
         cfg["n_rule"] = int(args.n_rule) if args.n_rule.lstrip("+-").isdigit() \
             else args.n_rule
-    if "n_grid" in cfg:
-        cfg["n_grid"] = tuple(cfg["n_grid"])
     return ExperimentConfig(**cfg)
 
 
@@ -140,12 +140,11 @@ def _run(args) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     if args.command == "dkw":
-        cfg = _load_config(args.config)
-        n_values = _number_list(cfg.get("n_values", args.n_values), int)
-        t_values = _number_list(cfg.get("t_values", args.t_values), float)
-        reps = int(cfg.get("reps", args.reps))
-        seed = int(cfg.get("seed", args.seed))
-        rows = run_dkw_check(n_values, t_values, reps, seed=seed)
+        cfg = _with_flags({**_DKW_DEFAULTS, **_load_config(args.config)}, args,
+                          _DKW_DEFAULTS)
+        rows = run_dkw_check(_number_list(cfg["n_values"], int),
+                             _number_list(cfg["t_values"], float),
+                             int(cfg["reps"]), seed=int(cfg["seed"]))
         paths = emit_report(rows, args.format, args.out, stem="dkw")
         print(json.dumps({"rows": rows, "written": paths}, indent=2,
                          sort_keys=True))

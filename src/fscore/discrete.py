@@ -59,9 +59,10 @@ class DiscreteDistribution:
     eta: np.ndarray      # (K,)
 
     def __post_init__(self):
-        support = np.atleast_2d(np.asarray(self.support, dtype=float))
-        mass = np.asarray(self.mass, dtype=float).ravel()
-        eta = np.asarray(self.eta, dtype=float).ravel()
+        # copies, so that freezing them leaves the caller's arrays writeable
+        support = np.atleast_2d(np.array(self.support, dtype=float))
+        mass = np.array(self.mass, dtype=float).ravel()
+        eta = np.array(self.eta, dtype=float).ravel()
         if support.shape[0] != mass.size or mass.size != eta.size:
             raise ValueError("support, mass and eta must have equal length")
         if mass.size < 1:

@@ -21,12 +21,11 @@ import numpy as np
 
 from .core import lemma1_excess, solve_threshold
 from .discrete import FBetaParams
-from .estimators import LabeledDataset, fit_from_config
+from .plugin import TrainingDegenerate, UnlabeledDataset, train_plugin
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
-                        make_two_point_family)
+                        make_two_point_family, sample)
 from .table import write_table
-from .threshold import ScoreSample, empirical_threshold
 
 _CELL_SEED_STRIDE = 1_000_003
 
@@ -47,8 +46,11 @@ class ExperimentConfig:
         grid = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
             raise ValueError("n_grid must be nonempty and strictly increasing")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        for name, value in (("n_grid sizes", grid[0]), ("reps", self.reps),
+                            ("oracle_atoms", self.oracle_atoms)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        FBetaParams(b=self.b)  # b must be positive
         rule = self.n_rule
         fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
         if rule not in ("n", "n2") and not (fixed and rule >= 1):
@@ -66,7 +68,7 @@ class ExperimentConfig:
 @dataclass
 class RateFitResult:
     kind: str  # "excess" or "threshold"
-    rows: list  # per-n dicts: n, N, mean, se, median, zero_fraction
+    rows: list  # per-n dicts: n, N, reps_valid, mean, se, median, zero_fraction
     slope: float
     intercept: float
     slope_halfwidth: float
@@ -101,37 +103,34 @@ class _Oracle:
         self.gap = np.abs(self.dist.eta - self.theta)
         self.p_y1 = self.dist.p_y1
 
-    def excess(self, scores: np.ndarray, theta_hat: float) -> float:
-        return lemma1_excess(self.dist.mass, self.gap, self.star,
-                             scores > theta_hat, self.b2, self.p_y1)
+    def excess(self, bits: np.ndarray) -> float:
+        return lemma1_excess(self.dist.mass, self.gap, self.star, bits,
+                             self.b2, self.p_y1)
+
+
+def _unlabeled_draw(family, rng, big_n) -> UnlabeledDataset:
+    x = np.asarray(family.sampler(rng, big_n), dtype=float).reshape(big_n, family.d)
+    if family.d == 1:
+        # theta_hat depends only on the multiset of scores, so the order is
+        # free; sorted queries make the estimator's window searches fast
+        x.sort(axis=0)
+    return UnlabeledDataset(points=x)
 
 
 def _replicate(family, oracle, cfg, n, rep_seed):
+    """One ``train_plugin`` fit; None when every drawn label is 0."""
     rng = np.random.default_rng(rep_seed)
-    x_lab = np.asarray(family.sampler(rng, n), dtype=float).reshape(n, family.d)
-    y_lab = (rng.random(n) < family.eta(x_lab)).astype(float)
-    if y_lab.sum() == 0:  # resample labels once; a zero-positive draw is
-        y_lab = (rng.random(n) < family.eta(x_lab)).astype(float)  # pathological
-    if y_lab.sum() == 0:
-        return None
-    big_n = cfg.unlabeled_size(n)
-    x_unl = np.asarray(family.sampler(rng, big_n), dtype=float).reshape(big_n, family.d)
-    if family.d == 1:
-        # theta_hat depends only on the multiset of scores, so the order of
-        # the unlabeled points is free; sorted queries make the estimator's
-        # window searches fast.
-        x_unl.sort(axis=0)
+    labeled = sample(family, n, rng)
     beta = family.smoothness.beta if family.smoothness is not None else 1.0
-    eta_hat = fit_from_config(LabeledDataset(points=x_lab, labels=y_lab),
-                              {**cfg.estimator, "beta": beta})
-    scores_unl = np.asarray(eta_hat.evaluate(x_unl))
-    theta_hat = empirical_threshold(ScoreSample(values=scores_unl),
-                                    FBetaParams(b=cfg.b))
-    scores_oracle = np.asarray(eta_hat.evaluate(oracle.dist.support))
+    try:
+        clf = train_plugin(labeled, _unlabeled_draw(family, rng, cfg.unlabeled_size(n)),
+                           {**cfg.estimator, "beta": beta}, FBetaParams(b=cfg.b))
+    except TrainingDegenerate:
+        return None
     return {
-        "theta_hat": theta_hat,
-        "theta_err": abs(theta_hat - family.theta_star),
-        "excess": oracle.excess(scores_oracle, theta_hat),
+        "theta_hat": clf.theta_hat,
+        "theta_err": abs(clf.theta_hat - family.theta_star),
+        "excess": oracle.excess(clf.predict(oracle.dist.support)),
     }
 
 
@@ -149,6 +148,7 @@ def _run_experiment(cfg: ExperimentConfig, statistic: str) -> RateFitResult:
         rows.append({
             "n": n,
             "N": cfg.unlabeled_size(n),
+            "reps_valid": int(values.size),
             "mean": float(values.mean()),
             "se": float(values.std(ddof=1) / math.sqrt(values.size))
             if values.size > 1 else 0.0,
@@ -166,29 +166,20 @@ def _run_experiment(cfg: ExperimentConfig, statistic: str) -> RateFitResult:
         theory = -beta / denom
         kind = "threshold"
     included = [r for r in rows if r["mean"] > 0.0]
-    excluded = len(rows) - len(included)
-    if len(included) < 2:
-        return RateFitResult(kind=kind, rows=rows, slope=float("nan"),
-                             intercept=float("nan"), slope_halfwidth=float("nan"),
-                             theory_slope=theory, excluded_cells=excluded,
-                             inf_rate=True, config=_config_record(cfg))
-    x = np.log(np.array([r["n"] for r in included], dtype=float))
-    y = np.log(np.array([r["mean"] for r in included]))
-    slope, intercept = np.polyfit(x, y, 1)
-    centered = x - x.mean()
-    coeffs = centered / float(centered @ centered)
-    rel = np.array([r["se"] / r["mean"] for r in included])
-    halfwidth = 2.0 * float(np.sqrt((coeffs ** 2) @ (rel ** 2)))
-    return RateFitResult(kind=kind, rows=rows, slope=float(slope),
-                         intercept=float(intercept), slope_halfwidth=halfwidth,
-                         theory_slope=theory, excluded_cells=excluded,
-                         inf_rate=False, config=_config_record(cfg))
-
-
-def _config_record(cfg: ExperimentConfig) -> dict:
-    record = asdict(cfg)
-    record["n_grid"] = list(cfg.n_grid)
-    return record
+    slope = intercept = halfwidth = float("nan")
+    if len(included) >= 2:
+        x = np.log(np.array([r["n"] for r in included], dtype=float))
+        y = np.log(np.array([r["mean"] for r in included]))
+        slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
+        centered = x - x.mean()
+        coeffs = centered / float(centered @ centered)
+        rel = np.array([r["se"] / r["mean"] for r in included])
+        halfwidth = 2.0 * float(np.sqrt((coeffs ** 2) @ (rel ** 2)))
+    return RateFitResult(kind=kind, rows=rows, slope=slope, intercept=intercept,
+                         slope_halfwidth=halfwidth, theory_slope=theory,
+                         excluded_cells=len(rows) - len(included),
+                         inf_rate=len(included) < 2,
+                         config={**asdict(cfg), "n_grid": list(cfg.n_grid)})
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateFitResult:
@@ -232,7 +223,7 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
 # ---------------------------------------------------------------------------
 # Report emission: byte-stable CSV / JSON / SVG.
 
-_RATE_COLUMNS = ("n", "N", "mean", "se", "median", "zero_fraction")
+_RATE_COLUMNS = ("n", "N", "reps_valid", "mean", "se", "median", "zero_fraction")
 _FIT_COLUMNS = ("slope", "intercept", "slope_halfwidth", "theory_slope",
                 "excluded_cells", "inf_rate")
 

@@ -25,7 +25,7 @@ class TrainingDegenerate(ValueError):
 
 @dataclass(frozen=True)
 class UnlabeledDataset:
-    points: np.ndarray  # (N, d); may be empty before augmentation
+    points: np.ndarray  # (N, d); may be empty
 
     def __post_init__(self):
         # a copy, so that freezing it leaves the caller's array writeable
@@ -102,30 +102,24 @@ class PluginClassifier:
 def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
                  estimator_config: dict,
                  params: FBetaParams = FBetaParams()) -> PluginClassifier:
-    """Fit eta_hat on the labeled data, calibrate theta_hat on the unlabeled
-    data (augmented with the labeled features when N < n) and assemble the
-    classifier with provenance."""
+    """Fit eta_hat on the n labeled points, calibrate theta_hat on exactly the
+    N unlabeled points (never on the labeled ones, which eta_hat was fitted
+    on) and assemble the classifier with provenance."""
     if float(labeled.labels.sum()) == 0.0:
         raise TrainingDegenerate("all training labels are 0; P_hat(Y=1)=0 "
                                  "makes the threshold equation vacuous")
-    n, big_n = labeled.n, unlabeled.n
-    if big_n and unlabeled.d != labeled.d:
+    if unlabeled.n == 0:
+        raise ValueError("unlabeled dataset is empty; theta_hat needs at least "
+                         "one unlabeled point")
+    if unlabeled.d != labeled.d:
         raise ValueError("labeled/unlabeled dimension mismatch")
     eta_hat = fit_from_config(labeled, estimator_config)
-    augmented = big_n < n
-    if not augmented:
-        points = unlabeled.points
-    elif big_n:
-        points = np.vstack([unlabeled.points, labeled.points])
-    else:
-        points = labeled.points
-    scores = np.asarray(eta_hat.evaluate(points))
-    theta_hat = empirical_threshold(ScoreSample(values=scores), params)
+    # no name for the scores: ScoreSample keeps its own copy
+    theta_hat = empirical_threshold(
+        ScoreSample(values=eta_hat.evaluate(unlabeled.points)), params)
     provenance = {
-        "n": n,
-        "N": big_n,
-        "N_effective": points.shape[0],
-        "augmented": augmented,
+        "n": labeled.n,
+        "N": unlabeled.n,
         "estimator": {"method": eta_hat.method, **eta_hat.hyperparameters},
         "b": params.b,
     }

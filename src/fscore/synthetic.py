@@ -5,6 +5,7 @@ assumption validators (margin exponent, strong density).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -109,8 +110,9 @@ class AnalyticDistribution:
         return self.discretizer(n_atoms, seed)
 
 
-def sample(dist: AnalyticDistribution, n: int, seed: int, labeled: bool = True):
-    """Draw n i.i.d. copies; X from the marginal, Y ~ Bernoulli(eta(X))."""
+def sample(dist: AnalyticDistribution, n: int, seed, labeled: bool = True):
+    """Draw n i.i.d. copies; X from the marginal, Y ~ Bernoulli(eta(X)).
+    ``seed`` may be a Generator, which is used and advanced in place."""
     if n < 1:
         raise ValueError("n must be at least 1")
     rng = np.random.default_rng(seed)
@@ -188,13 +190,16 @@ def verify_strong_density(dist: AnalyticDistribution, n_scan: int = 50_000,
 # ---------------------------------------------------------------------------
 # Smooth one-dimensional family.
 
+@functools.cache
 def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
                           slope: float = 0.6, x0: float = 0.5,
                           grid_size: int = 1_000_000) -> AnalyticDistribution:
     """X ~ U[0,1] with eta crossing its own optimal threshold at x0 like
     sign(x - x0) |x - x0|^{1/alpha_target}, so the margin exponent is exactly
     alpha_target.  The crossing level is solved so that it coincides with
-    theta* (a scalar fixed point, found by bracketing on the level)."""
+    theta* (a scalar fixed point, found by bracketing on the level).
+    Memoized, since each bracketing step solves on ``grid_size`` points:
+    equal arguments return the same family, whose ``extras`` are shared."""
     if not (0.0 < beta <= 1.0):
         raise ConstructionError("smooth 1-d family supports beta in (0, 1]")
     if alpha_target <= 0 or slope <= 0 or not (0.0 < x0 < 1.0):

@@ -28,7 +28,8 @@ class ScoreSample:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
+        # a copy, so that freezing it leaves the caller's array writeable
+        values = np.array(self.values, dtype=float).ravel()
         if values.size == 0:
             raise ValueError("score sample must be nonempty")
         require_finite(values, "score sample")

@@ -53,6 +53,18 @@ def test_dkw_subcommand(tmp_path, capsys):
     assert rows[0]["N"] == 100 and rows[0]["t"] == 0.1
 
 
+def test_dkw_flags_override_config_file(tmp_path, capsys):
+    cfg = tmp_path / "dkw.json"
+    cfg.write_text(json.dumps({"reps": 100, "n_values": [100], "seed": 4}))
+    code, stdout, _ = run_cli(capsys, "dkw", "--config", str(cfg),
+                              "--reps", "300", "--n-values", "50",
+                              "--out", str(tmp_path))
+    assert code == 0
+    # flags beat the file, the file beats the built-in defaults
+    expected = fs.run_dkw_check([50], [0.01, 0.05, 0.1], reps=300, seed=4)
+    assert json.loads(stdout)["rows"] == expected
+
+
 def test_oracle_suite_subcommand(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "oracle-suite", "--trials", "20",
                               "--seed", "0", "--out", str(tmp_path / "f"))

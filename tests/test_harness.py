@@ -21,6 +21,13 @@ def test_config_validation():
     for rule in ("n3", 0, -5, 2.5, True, "100"):
         with pytest.raises(ValueError, match="n_rule"):
             ExperimentConfig(n_rule=rule)
+    for kwargs, name in ((dict(n_grid=(0, 10)), "n_grid"),
+                         (dict(n_grid=(-5, 10)), "n_grid"),
+                         (dict(oracle_atoms=0), "oracle_atoms"),
+                         (dict(b=-1.0), "b must"),
+                         (dict(b=0.0), "b must")):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**kwargs)
 
 
 def test_n_rules():
@@ -130,4 +137,17 @@ def test_sorted_unlabeled_draw_keeps_excess():
                              {"method": "kernel", "h": n ** (-1 / 3)})
     theta = fs.empirical_threshold(fs.ScoreSample(values=est.evaluate(x_unl)))
     assert got["theta_hat"] == theta
-    assert got["excess"] == oracle.excess(est.evaluate(oracle.dist.support), theta)
+    assert got["excess"] == oracle.excess(est.evaluate(oracle.dist.support) > theta)
+
+
+def test_degenerate_draws_dropped_and_counted(tmp_path):
+    # with eta = 0.005 most labeled draws hold no positive label; train_plugin
+    # rejects them and the row counts only the replicates that remain
+    cfg = ExperimentConfig(family="constant", family_params={"eta_value": 0.005},
+                           n_grid=(50, 100), reps=40, seed=0, oracle_atoms=100)
+    res = run_rate_experiment(cfg)
+    for row in res.rows:
+        assert 0 < row["reps_valid"] < cfg.reps
+    (json_path,) = emit_report(res, "json", str(tmp_path))
+    rows = json.loads(open(json_path).read())["rows"]
+    assert [r["reps_valid"] for r in rows] == [r["reps_valid"] for r in res.rows]

@@ -38,19 +38,21 @@ def test_all_zero_labels_degenerate():
         fs.train_plugin(labeled, unlabeled, {"method": "knn", "k": 3})
 
 
-def test_augmentation_when_unlabeled_small():
-    _, labeled, _ = make_sets(n=200, big_n=50)
-    small = fs.UnlabeledDataset(points=labeled.points[:50])
-    clf = fs.train_plugin(labeled, small, {"method": "kernel"})
-    assert clf.provenance["augmented"] is True
-    assert clf.provenance["N_effective"] == 250
+def test_theta_hat_uses_exactly_the_unlabeled_points():
+    # N < n: theta_hat solves the equation on the N given scores alone
+    _, labeled, unlabeled = make_sets(n=200, big_n=50)
+    clf = fs.train_plugin(labeled, unlabeled, {"method": "kernel"})
+    scores = clf.eta_hat.evaluate(unlabeled.points)
+    assert clf.theta_hat == fs.empirical_threshold(fs.ScoreSample(values=scores))
+    assert (clf.provenance["n"], clf.provenance["N"]) == (200, 50)
+    assert "N_effective" not in clf.provenance and "augmented" not in clf.provenance
 
 
-def test_empty_unlabeled_uses_labeled_features():
+def test_empty_unlabeled_rejected():
     _, labeled, _ = make_sets(n=100, big_n=10)
     empty = fs.UnlabeledDataset(points=np.empty((0, 1)))
-    clf = fs.train_plugin(labeled, empty, {"method": "kernel"})
-    assert clf.provenance["N_effective"] == 100
+    with pytest.raises(ValueError, match="unlabeled dataset is empty"):
+        fs.train_plugin(labeled, empty, {"method": "kernel"})
 
 
 def test_predict_strict_inequality():
@@ -90,13 +92,20 @@ def test_dimension_mismatch_rejected():
 
 def test_datasets_copy_the_callers_arrays():
     points, labels = np.array([[0.1], [0.2]]), np.array([0.0, 1.0])
+    mass, eta = np.array([0.5, 0.5]), np.array([0.3, 0.6])
     labeled = LabeledDataset(points=points, labels=labels)
     unlabeled = fs.UnlabeledDataset(points=points)
-    assert points.flags.writeable and labels.flags.writeable
-    assert not (labeled.points.flags.writeable or unlabeled.points.flags.writeable)
-    points[0, 0], labels[0] = 0.9, 1.0
+    dist = fs.DiscreteDistribution(support=points, mass=mass, eta=eta)
+    scores = fs.ScoreSample(values=eta)
+    callers = (points, labels, mass, eta)
+    held = (labeled.points, labeled.labels, unlabeled.points, dist.support,
+            dist.mass, dist.eta, scores.values)
+    assert all(a.flags.writeable for a in callers)
+    assert not any(a.flags.writeable for a in held)
+    points[0, 0], labels[0], mass[0], eta[0] = 0.9, 1.0, 0.9, 0.9
     assert labeled.points[0, 0] == 0.1 and labeled.labels[0] == 0.0
-    assert unlabeled.points[0, 0] == 0.1
+    assert unlabeled.points[0, 0] == 0.1 and dist.support[0, 0] == 0.1
+    assert dist.mass[0] == 0.5 and dist.eta[0] == 0.3 and scores.values[0] == 0.3
 
 
 def test_predictions_csv(tmp_path):

@@ -37,6 +37,11 @@ def test_smooth_family_fixed_point():
     assert theta == pytest.approx(fam.theta_star, abs=1e-5)
 
 
+def test_smooth_family_built_once_per_arguments():
+    fam = fs.make_smooth_1d_family(beta=1.0, slope=0.6)
+    assert fs.make_smooth_1d_family(beta=1.0, slope=0.6) is fam
+
+
 def test_smooth_family_margin_exponent_near_one():
     fam = fs.make_smooth_1d_family()
     rep = fs.verify_margin(fam, [0.01, 0.02, 0.05, 0.1], seed=0)

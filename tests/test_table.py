@@ -55,10 +55,10 @@ def test_discrete_distribution_csv_bytes(tmp_path):
 
 
 def _rate_result(**fit):
-    rows = [{"n": 100, "N": 10_000, "mean": 0.5, "se": 0.1, "median": 0.25,
-             "zero_fraction": 0.0},
-            {"n": 200, "N": 40_000, "mean": 1e-05, "se": 0.0, "median": 2e-06,
-             "zero_fraction": 0.2}]
+    rows = [{"n": 100, "N": 10_000, "reps_valid": 50, "mean": 0.5, "se": 0.1,
+             "median": 0.25, "zero_fraction": 0.0},
+            {"n": 200, "N": 40_000, "reps_valid": 49, "mean": 1e-05, "se": 0.0,
+             "median": 2e-06, "zero_fraction": 0.2}]
     return RateFitResult(kind="excess", rows=rows, config={}, **fit)
 
 
@@ -74,9 +74,9 @@ def _rate_result(**fit):
 def test_rate_table_csv_bytes(tmp_path, fit, fit_line):
     table, fit_table = emit_report(_rate_result(**fit), "csv", str(tmp_path))
     assert open(table, "rb").read() == (
-        b"n,N,mean,se,median,zero_fraction\r\n"
-        b"100,10000,0.5,0.1,0.25,0.0\r\n"
-        b"200,40000,1e-05,0.0,2e-06,0.2\r\n")
+        b"n,N,reps_valid,mean,se,median,zero_fraction\r\n"
+        b"100,10000,50,0.5,0.1,0.25,0.0\r\n"
+        b"200,40000,49,1e-05,0.0,2e-06,0.2\r\n")
     assert open(fit_table, "rb").read() == (
         b"slope,intercept,slope_halfwidth,theory_slope,excluded_cells,inf_rate\r\n"
         + fit_line)
