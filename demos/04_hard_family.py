@@ -32,3 +32,19 @@ print("density scan:", fs.verify_strong_density(family))
 # rate-scaled parameters for a given labeled-sample budget
 print("rate params at n=5000:", fs.hard_family_rate_params(5000, beta=1.0,
                                                            d=1, alpha=1.0))
+
+# a short k-NN rate curve on the d = 2 family sized for n = 2000; the
+# k-nearest-neighbour search runs on a kd-tree
+p2 = fs.hard_family_rate_params(2000, beta=1.0, d=2, alpha=1.0)
+cfg = fs.ExperimentConfig(family="hard",
+                          family_params={"d": p2.d, "beta": p2.beta, "q": p2.q,
+                                         "m": p2.m, "w": p2.w, "seed": 0},
+                          estimator={"method": "knn"},
+                          n_grid=(250, 500, 1000, 2000), reps=5, seed=3,
+                          oracle_atoms=5000)
+curve = fs.run_rate_experiment(cfg)
+print(f"k-NN rate curve, d = 2, q = {p2.q}, m = {p2.m}, w = {p2.w:.4f}:")
+for row in curve.rows:
+    print(f"  n={row['n']:5d}  valid reps={row['reps_valid']}  "
+          f"mean excess={row['mean']:.5f} +- {row['se']:.5f}")
+print(f"fitted log-log slope {curve.slope:.3f} +- {curve.slope_halfwidth:.3f}")

@@ -1,7 +1,9 @@
 """Nonparametric regression estimators for eta(x) = P(Y=1 | X=x).
 
 Three fitters are provided: k-nearest-neighbor, locally constant kernel
-smoothing (Epanechnikov or Gaussian) and local polynomial fitting.  All
+smoothing (Epanechnikov or Gaussian) and local polynomial fitting.  A
+kd-tree over the labeled points finds neighbours and windows; only the
+Gaussian kernel, whose support is unbounded, sums over all n points.  All
 outputs are clipped to [0, 1].  ``default_bandwidth`` gives the rate-matched
 bandwidth h = n^{-1/(2 beta + d)} and the companion concentration rate
 a_n = n^{2 beta / (2 beta + d)}.
@@ -9,17 +11,25 @@ a_n = n^{2 beta / (2 beta + d)}.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .discrete import require_finite
 from .table import read_table, write_table
 
-_CHUNK = 512  # queries per pairwise-distance block
+_CHUNK = 512  # queries per block of the dense Gaussian kernel and of window pairs
+_NEIGHBOUR_ENTRIES = 65_536  # (query, neighbour) entries per block of k-NN queries
 _PREFIX_CHUNK = 65_536  # queries per block of the 1-d Epanechnikov fast path
+# Relative slack on tree distances: the kd-tree rounds distances on its own,
+# so every radius it is asked for is widened by this factor and the d^2 that
+# decide are recomputed exactly as sum_j (q_j - x_j)^2.
+_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,22 @@ class RegressionEstimate:
         raise NotImplementedError
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; booleans and non-integral numbers raise a
+    ValueError that names ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) \
+            or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _bandwidth(h) -> float:
+    h = float(h)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth h must be positive and finite, got {h!r}")
+    return h
+
+
 def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
@@ -116,16 +142,77 @@ def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
+def _tree(points: np.ndarray) -> cKDTree:
+    # sliding-midpoint splits, the rule of Maneewongvatana & Mount
+    return cKDTree(points, balanced_tree=False)
+
+
+class _Neighbours:
+    """One kd-tree over the labeled points behind every nearest-neighbour and
+    window query.
+
+    The tree only proposes candidates.  Whatever decides an answer -- the
+    order of the k nearest, membership of a window, a kernel weight -- uses
+    d^2 = sum_j (q_j - x_j)^2 computed here, exactly as a pass over all n
+    points would compute it.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.tree = _tree(points)
+
+    def nearest(self, block: np.ndarray, k: int) -> np.ndarray:
+        """(m, k) indices of the k nearest points of each query; distance
+        ties go to the lowest index, as in a stable argsort of d^2."""
+        kq = min(k + 1, self.points.shape[0])
+        dist, idx = self.tree.query(block, k=kq)
+        dist = dist.reshape(-1, kq)
+        idx = idx.reshape(-1, kq)[:, :k]
+        if kq > k:
+            # The tree orders tied points arbitrarily.  Where the k-th and
+            # (k+1)-th distances tie, the k nearest are ranked again over
+            # every point the tree finds within the k-th distance.  Equal
+            # queries share that work: on a few atoms, most queries tie.
+            ties = np.flatnonzero(dist[:, k] <= dist[:, k - 1] * _SLACK)
+            _, first, inverse = np.unique(block[ties], axis=0, return_index=True,
+                                          return_inverse=True)
+            ranked = np.empty((first.size, k), dtype=idx.dtype)
+            for u, i in enumerate(ties[first]):
+                cand, d2 = self.within(block[i], dist[i, k - 1])
+                ranked[u] = cand[np.argsort(d2, kind="stable")[:k]]
+            idx[ties] = ranked[inverse.ravel()]
+        return idx
+
+    def within(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Indices, ascending, of the points within about r of query q --
+        a superset of those with d^2 <= r^2 -- and their d^2."""
+        cand = np.array(self.tree.query_ball_point(q, r * _SLACK, return_sorted=True),
+                        dtype=np.intp)
+        return cand, ((q - self.points[cand]) ** 2).sum(axis=1)
+
+    def pairs(self, block: np.ndarray, r: float):
+        """(rows, cols, d2) of the pairs of a query in ``block`` and a point
+        within about r -- a superset of those with d^2 <= r^2.  A query's
+        pairs come in an order that does not depend on the rest of the
+        block."""
+        found = _tree(block).sparse_distance_matrix(self.tree, r * _SLACK,
+                                                      output_type="ndarray")
+        rows, cols = found["i"], found["j"]
+        return rows, cols, ((block[rows] - self.points[cols]) ** 2).sum(axis=1)
+
+
 class KNNEstimate(RegressionEstimate):
     """Mean label of the k nearest points (Euclidean; ties -> lowest index)."""
 
     method = "knn"
 
     def __init__(self, data: LabeledDataset, k: int):
+        k = _integer(k, "k")
         if not (1 <= k <= data.n):
             raise ValueError(f"k must be in [1, {data.n}], got {k}")
         self._data = data
-        self.k = int(k)
+        self.k = k
+        self._index = _Neighbours(data.points)
 
     @property
     def hyperparameters(self) -> dict:
@@ -133,16 +220,12 @@ class KNNEstimate(RegressionEstimate):
 
     def evaluate(self, x) -> np.ndarray:
         queries, single = _as_batch(x, self._data.d)
-        pts = self._data.points
-        labels = self._data.labels
         out = np.empty(queries.shape[0])
-        for start in range(0, queries.shape[0], _CHUNK):
-            block = queries[start:start + _CHUNK]
-            d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            # Stable argsort: distance ties resolved by lowest index.
-            idx = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
-            out[start:start + block.shape[0]] = labels[idx].mean(axis=1)
-        out = np.clip(out, 0.0, 1.0)
+        step = max(1, _NEIGHBOUR_ENTRIES // (self.k + 1))
+        for start in range(0, queries.shape[0], step):
+            idx = self._index.nearest(queries[start:start + step], self.k)
+            out[start:start + step] = self._data.labels[idx].mean(axis=1)
+        np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
 
 
@@ -151,35 +234,47 @@ def _epanechnikov(u2: np.ndarray) -> np.ndarray:
 
 
 class KernelEstimate(RegressionEstimate):
-    """Locally constant kernel regression; empty windows fall back to 1-NN."""
+    """Locally constant kernel regression; empty windows fall back to 1-NN.
+
+    The Epanechnikov kernel sums over prefix sums in one dimension and over
+    the kd-tree's pairs within h otherwise; the Gaussian kernel, whose
+    support is unbounded, sums over all n points."""
 
     method = "kernel"
 
     def __init__(self, data: LabeledDataset, h: float, kernel: str = "epanechnikov"):
-        if h <= 0:
-            raise ValueError("bandwidth h must be positive")
+        self.h = _bandwidth(h)
         if kernel not in ("epanechnikov", "gaussian"):
             raise ValueError(f"unknown kernel {kernel!r}")
         self._data = data
-        self.h = float(h)
         self.kernel = kernel
         if data.d == 1 and kernel == "epanechnikov":
             order = np.argsort(data.points[:, 0], kind="stable")
             x = data.points[order, 0]
             y = data.labels[order]
             self._fast = _EpanechnikovPrefix(x, y)
+            self._index = None
         else:
             self._fast = None
+            self._index = _Neighbours(data.points)
 
     @property
     def hyperparameters(self) -> dict:
         return {"h": self.h, "kernel": self.kernel}
 
-    def _nearest_label(self, block: np.ndarray) -> np.ndarray:
-        pts = self._data.points
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
-        return self._data.labels[idx]
+    def _sums(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per query of ``block``: sum_i w_i and sum_i w_i y_i."""
+        labels = self._data.labels
+        h2 = self.h * self.h
+        if self.kernel == "epanechnikov":
+            rows, cols, d2 = self._index.pairs(block, self.h)
+            w = _epanechnikov(d2 / h2)
+            m = block.shape[0]
+            return (np.bincount(rows, w, minlength=m),
+                    np.bincount(rows, w * labels[cols], minlength=m))
+        d2 = ((block[:, None, :] - self._data.points[None, :, :]) ** 2).sum(axis=2)
+        w = np.exp(-0.5 * d2 / h2)
+        return w.sum(axis=1), w @ labels
 
     def evaluate(self, x) -> np.ndarray:
         queries, single = _as_batch(x, self._data.d)
@@ -193,22 +288,14 @@ class KernelEstimate(RegressionEstimate):
                 out[start:stop] = self._fast.evaluate(t[start:stop], self.h)
         else:
             out = np.empty(queries.shape[0])
-            pts = self._data.points
-            labels = self._data.labels
-            h2 = self.h * self.h
             for start in range(0, queries.shape[0], _CHUNK):
                 block = queries[start:start + _CHUNK]
-                d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-                if self.kernel == "epanechnikov":
-                    w = _epanechnikov(d2 / h2)
-                else:
-                    w = np.exp(-0.5 * d2 / h2)
-                den = w.sum(axis=1)
-                num = w @ labels
+                den, num = self._sums(block)
                 vals = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
                 empty = den <= 0
                 if np.any(empty):
-                    vals[empty] = self._nearest_label(block[empty])
+                    nearest = self._index.nearest(block[empty], 1)[:, 0]
+                    vals[empty] = self._data.labels[nearest]
                 out[start:start + block.shape[0]] = vals
         np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
@@ -286,14 +373,15 @@ class LocalPolyEstimate(RegressionEstimate):
     method = "local_poly"
 
     def __init__(self, data: LabeledDataset, degree: int, h: float):
+        degree = _integer(degree, "degree")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if h <= 0:
-            raise ValueError("bandwidth h must be positive")
+        self.h = _bandwidth(h)
         self._data = data
-        self.degree = int(degree)
-        self.h = float(h)
-        self._fallback = KernelEstimate(data, h, kernel="epanechnikov")
+        self.degree = degree
+        self._fallback = KernelEstimate(data, self.h, kernel="epanechnikov")
+        # the windows share the fallback's tree; in 1-d it has none
+        self._index = self._fallback._index or _Neighbours(data.points)
 
     @property
     def hyperparameters(self) -> dict:
@@ -317,25 +405,26 @@ class LocalPolyEstimate(RegressionEstimate):
         queries, single = _as_batch(x, self._data.d)
         pts = self._data.points
         labels = self._data.labels
+        h2 = self.h * self.h
         out = np.empty(queries.shape[0])
         for i, q in enumerate(queries):
-            d2 = ((pts - q) ** 2).sum(axis=1)
-            in_window = d2 < self.h * self.h
-            n_local = int(in_window.sum())
-            w = _epanechnikov(d2[in_window] / (self.h * self.h))
-            design = self._design((pts[in_window] - q) / self.h)
-            if n_local < design.shape[1]:
+            cand, d2 = self._index.within(q, self.h)
+            in_window = d2 < h2
+            rows = cand[in_window]
+            w = _epanechnikov(d2[in_window] / h2)
+            design = self._design((pts[rows] - q) / self.h)
+            if rows.size < design.shape[1]:
                 out[i] = self._fallback.evaluate(q)
                 continue
             sw = np.sqrt(w)
             a = design * sw[:, None]
-            b = labels[in_window] * sw
+            b = labels[rows] * sw
             coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
             if rank < design.shape[1]:
                 out[i] = self._fallback.evaluate(q)
             else:
                 out[i] = coef[0]
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
 
 

@@ -93,6 +93,23 @@ def test_train_predict_round_trip(tmp_path, capsys):
     assert len(lines) == 401
 
 
+def test_train_rejects_invalid_hyperparameters(tmp_path, capsys):
+    fam = fs.make_smooth_1d_family()
+    fs.sample(fam, 100, seed=1, labeled=True).to_csv(tmp_path / "lab.csv")
+    for estimator, field in (('{"method": "knn", "k": 2.7}', "k"),
+                             ('{"method": "knn", "k": true}', "k"),
+                             ('{"method": "local_poly", "degree": 1.5}', "degree"),
+                             ('{"method": "kernel", "h": NaN}', "h")):
+        code, _, stderr = run_cli(capsys, "train", "--labeled",
+                                  str(tmp_path / "lab.csv"), "--estimator",
+                                  estimator, "--out", str(tmp_path / "model"))
+        record = json.loads(stderr)
+        assert code == 2 and record["error"] == "ValueError"
+        assert record["message"].startswith(("k ", "degree ", "bandwidth h "))
+        assert f"{field} must" in record["message"]
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_error_record_on_failure(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "rate", "--family", "bogus",
                               "--n-grid", "100,200", "--reps", "2",

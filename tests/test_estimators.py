@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -14,6 +15,73 @@ def make_data(n=200, seed=0, d=1):
     eta = 0.2 + 0.6 * x[:, 0]
     y = (rng.random(n) < eta).astype(float)
     return LabeledDataset(points=x, labels=y)
+
+
+# -- dense references: every query against all n points ---------------------
+
+def dense_d2(block, points):
+    return ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+
+
+def dense_knn(data, k, queries):
+    """Mean label of the first k of a stable argsort of d^2 over all n."""
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], 512):
+        block = queries[start:start + 512]
+        idx = np.argsort(dense_d2(block, data.points), axis=1, kind="stable")[:, :k]
+        out[start:start + block.shape[0]] = data.labels[idx].mean(axis=1)
+    return np.clip(out, 0.0, 1.0)
+
+
+def dense_epanechnikov(data, h, queries):
+    """Epanechnikov weights over all n points; an empty window takes the
+    label of the nearest point, the lowest index among equidistant ones."""
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], 512):
+        block = queries[start:start + 512]
+        d2 = dense_d2(block, data.points)
+        w = np.clip(1.0 - d2 / (h * h), 0.0, None)
+        den = w.sum(axis=1)
+        vals = np.where(den > 0, (w @ data.labels) / np.where(den > 0, den, 1.0), 0.0)
+        empty = den <= 0
+        vals[empty] = data.labels[np.argmin(d2[empty], axis=1)]
+        out[start:start + block.shape[0]] = vals
+    return np.clip(out, 0.0, 1.0)
+
+
+def dense_local_poly(est, data, queries):
+    """The per-query local fit over a window found among all n points."""
+    h = est.h
+    out = np.empty(queries.shape[0])
+    for i, q in enumerate(queries):
+        d2 = ((data.points - q) ** 2).sum(axis=1)
+        in_window = d2 < h * h
+        w = np.clip(1.0 - d2[in_window] / (h * h), 0.0, None)
+        design = est._design((data.points[in_window] - q) / h)
+        fallback = fs.KernelEstimate(data, h).evaluate(q)
+        if int(in_window.sum()) < design.shape[1]:
+            out[i] = fallback
+            continue
+        sw = np.sqrt(w)
+        coef, _, rank, _ = np.linalg.lstsq(design * sw[:, None],
+                                           data.labels[in_window] * sw, rcond=None)
+        out[i] = fallback if rank < design.shape[1] else coef[0]
+    return np.clip(out, 0.0, 1.0)
+
+
+def tie_grid(d, seed=0):
+    """Integer grid points, some repeated, in shuffled index order, and
+    queries on the grid, halfway between grid points and at random."""
+    side = {1: 12, 2: 5, 3: 3}[d]
+    grid = np.array(list(itertools.product(range(side), repeat=d)), dtype=float)
+    rng = np.random.default_rng(seed)
+    points = np.concatenate([grid, grid[::2], grid[:3], grid[:3]])
+    points = points[rng.permutation(points.shape[0])]
+    labels = (rng.random(points.shape[0]) < 0.5).astype(float)
+    halves = np.array(list(itertools.product(np.arange(-0.5, side, 0.5),
+                                             repeat=d)))
+    queries = np.concatenate([grid, halves, rng.random((50, d)) * side])
+    return LabeledDataset(points=points, labels=labels), queries
 
 
 def test_labels_must_be_binary():
@@ -157,6 +225,118 @@ def test_kernel_fast_path_memory_bounded():
     # blocks of queries bound the temporaries; the output dominates
     est = fs.KernelEstimate(make_data(n=2000, seed=5), h=0.08)
     queries = np.sort(np.random.default_rng(6).random(4_000_000))[:, None]
+    tracemalloc.start()
+    try:
+        out = est.evaluate(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_knn_matches_dense_reference_on_ties(d):
+    data, queries = tie_grid(d)
+    for k in (1, 2, 5, 17, data.n):
+        est = fs.KNNEstimate(data, k)
+        np.testing.assert_array_equal(est.evaluate(queries),
+                                      dense_knn(data, k, queries), err_msg=f"k={k}")
+        assert est.evaluate(queries[7]) == dense_knn(data, k, queries[7:8])[0]
+        assert est.evaluate(np.empty((0, d))).shape == (0,)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_knn_matches_dense_reference_on_random_data(d):
+    data = make_data(n=400, seed=10 + d, d=d)
+    queries = np.random.default_rng(d).random((700, d))
+    for k in (1, 2, 5, 17, data.n):
+        np.testing.assert_array_equal(fs.KNNEstimate(data, k).evaluate(queries),
+                                      dense_knn(data, k, queries), err_msg=f"k={k}")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_epanechnikov_matches_dense_reference(d):
+    data = make_data(n=600, seed=20 + d, d=d)
+    queries = np.random.default_rng(d).random((900, d)) * 1.4 - 0.2
+    for h in (0.05, 0.2, 0.6):
+        np.testing.assert_allclose(fs.KernelEstimate(data, h).evaluate(queries),
+                                   dense_epanechnikov(data, h, queries),
+                                   rtol=0, atol=1e-12, err_msg=f"h={h}")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_epanechnikov_empty_windows_on_ties(d):
+    # h = 0.3 < 0.5: the halfway queries see no point and are equidistant
+    # from two or more; the lowest index among them gives the label
+    data, queries = tie_grid(d, seed=1)
+    for h in (0.3, 1.0):
+        est = fs.KernelEstimate(data, h)
+        out = est.evaluate(queries)
+        np.testing.assert_allclose(out, dense_epanechnikov(data, h, queries),
+                                   rtol=0, atol=1e-12, err_msg=f"h={h}")
+        # a query's estimate does not depend on the rest of its batch
+        alone = np.array([est.evaluate(q) for q in queries])
+        np.testing.assert_array_equal(alone, out)
+
+
+def test_local_poly_matches_dense_windows():
+    data = make_data(n=300, seed=30, d=2)
+    rng = np.random.default_rng(31)
+    # the grid queries put points exactly h away from some queries
+    queries = np.concatenate([rng.random((150, 2)) * 1.2 - 0.1,
+                              data.points[:20] + [0.15, 0.0]])
+    for degree, h in ((1, 0.15), (1, 0.05), (2, 0.3)):
+        est = fs.LocalPolyEstimate(data, degree, h)
+        np.testing.assert_array_equal(est.evaluate(queries),
+                                      dense_local_poly(est, data, queries),
+                                      err_msg=f"degree={degree}, h={h}")
+
+
+def test_bandwidth_must_be_finite():
+    data = make_data(n=50, seed=9, d=2)
+    for h in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="bandwidth h"):
+            fs.KernelEstimate(data, h)
+        with pytest.raises(ValueError, match="bandwidth h"):
+            fs.LocalPolyEstimate(data, 1, h)
+        with pytest.raises(ValueError, match="bandwidth h"):
+            fs.fit_from_config(data, {"method": "kernel", "h": h})
+
+
+def test_integer_hyperparameters():
+    data = make_data(n=50, seed=9)
+    for k in (2.7, True, "3", float("nan")):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fs.KNNEstimate(data, k)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fs.fit_from_config(data, {"method": "knn", "k": k})
+    for degree in (1.5, True, False):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            fs.LocalPolyEstimate(data, degree, 0.2)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            fs.fit_from_config(data, {"method": "local_poly", "degree": degree})
+    est = fs.KNNEstimate(data, 3.0)
+    assert est.k == 3 and type(est.k) is int
+    assert fs.LocalPolyEstimate(data, np.int64(2), 0.2).degree == 2
+
+
+def test_knn_memory_bounded():
+    # blocks of queries bound the (m, k + 1) neighbour arrays
+    est = fs.KNNEstimate(make_data(n=2000, seed=5, d=2), k=20)
+    queries = np.random.default_rng(6).random((1_000_000, 2))
+    tracemalloc.start()
+    try:
+        out = est.evaluate(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
+
+
+def test_kernel_tree_path_memory_bounded():
+    # blocks of queries bound the window pairs
+    est = fs.KernelEstimate(make_data(n=2000, seed=5, d=2), h=0.03)
+    queries = np.random.default_rng(6).random((1_000_000, 2))
     tracemalloc.start()
     try:
         out = est.evaluate(queries)

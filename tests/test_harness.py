@@ -151,3 +151,22 @@ def test_degenerate_draws_dropped_and_counted(tmp_path):
     (json_path,) = emit_report(res, "json", str(tmp_path))
     rows = json.loads(open(json_path).read())["rows"]
     assert [r["reps_valid"] for r in rows] == [r["reps_valid"] for r in res.rows]
+
+
+@pytest.mark.parametrize("method", ["knn", "kernel"])
+def test_hard_family_d2_rate_config(method):
+    # the grid-of-bumps family at d = 2 runs as a rate config on the
+    # kd-tree estimators
+    p = fs.hard_family_rate_params(2000, beta=1.0, d=2, alpha=1.0)
+    cfg = ExperimentConfig(family="hard",
+                           family_params={"d": p.d, "beta": p.beta, "q": p.q,
+                                          "m": p.m, "w": p.w, "seed": 0},
+                           estimator={"method": method},
+                           n_grid=(250, 500, 1000, 2000), reps=5, seed=3,
+                           oracle_atoms=5000)
+    result = run_rate_experiment(cfg)
+    assert [r["n"] for r in result.rows] == [250, 500, 1000, 2000]
+    for row in result.rows:
+        assert row["reps_valid"] >= 1
+        assert math.isfinite(row["mean"]) and row["mean"] >= 0.0
+    assert math.isfinite(result.slope)
