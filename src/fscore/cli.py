@@ -118,7 +118,8 @@ def _experiment_config(args) -> ExperimentConfig:
     cfg = _with_flags(_load_config(args.config), args,
                       ("n_grid", "reps", "seed", "family", "estimator", "b"))
     if "n_grid" in cfg:
-        cfg["n_grid"] = _number_list(cfg["n_grid"], int)
+        # parsed as numbers only: ExperimentConfig rejects a fractional size
+        cfg["n_grid"] = _number_list(cfg["n_grid"], float)
     if "estimator" in cfg:
         cfg["estimator"] = _parse_estimator(cfg["estimator"])
     if args.n_rule is not None:

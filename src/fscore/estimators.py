@@ -1,16 +1,16 @@
 """Nonparametric regression estimators for eta(x) = P(Y=1 | X=x).
 
-Three fitters are provided: k-nearest-neighbor, locally constant kernel
-smoothing (Epanechnikov or Gaussian) and local polynomial fitting.  A
-kd-tree over the labeled points finds neighbours and windows; only the
-Gaussian kernel, whose support is unbounded, sums over all n points.  All
-outputs are clipped to [0, 1].  ``default_bandwidth`` gives the rate-matched
-bandwidth h = n^{-1/(2 beta + d)} and the companion concentration rate
-a_n = n^{2 beta / (2 beta + d)}.
+Three fitters are provided: k-nearest-neighbor, locally constant
+Epanechnikov kernel smoothing and local polynomial fitting.  A kd-tree over
+the labeled points finds neighbours and windows; the one-dimensional kernel
+sums windows with prefix sums instead.  All outputs are clipped to [0, 1].
+``default_bandwidth`` gives the rate-matched bandwidth h = n^{-1/(2 beta + d)}
+and the companion concentration rate a_n = n^{2 beta / (2 beta + d)}.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from scipy.spatial import cKDTree
 from .discrete import require_finite
 from .table import read_table, write_table
 
-_CHUNK = 512  # queries per block of the dense Gaussian kernel and of window pairs
+_CHUNK = 512  # queries per block of window pairs
 _NEIGHBOUR_ENTRIES = 65_536  # (query, neighbour) entries per block of k-NN queries
 _PREFIX_CHUNK = 65_536  # queries per block of the 1-d Epanechnikov fast path
 # Relative slack on tree distances: the kd-tree rounds distances on its own,
@@ -97,23 +97,6 @@ def default_bandwidth(n: int, spec: SmoothnessSpec, d: int) -> BandwidthScale:
     denom = 2.0 * spec.beta + d
     return BandwidthScale(h=float(n) ** (-1.0 / denom),
                           a_n=float(n) ** (2.0 * spec.beta / denom))
-
-
-class RegressionEstimate:
-    """Fitted map x -> [0, 1]; immutable after construction."""
-
-    method: str
-
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate at an (m, d) batch (or a single d-vector); returns (m,)."""
-        raise NotImplementedError
-
-    def __call__(self, x):
-        return self.evaluate(x)
-
-    @property
-    def hyperparameters(self) -> dict:
-        raise NotImplementedError
 
 
 def _integer(value, name: str) -> int:
@@ -201,7 +184,7 @@ class _Neighbours:
         return rows, cols, ((block[rows] - self.points[cols]) ** 2).sum(axis=1)
 
 
-class KNNEstimate(RegressionEstimate):
+class KNNEstimate:
     """Mean label of the k nearest points (Euclidean; ties -> lowest index)."""
 
     method = "knn"
@@ -233,70 +216,60 @@ def _epanechnikov(u2: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - u2, 0.0, None)
 
 
-class KernelEstimate(RegressionEstimate):
-    """Locally constant kernel regression; empty windows fall back to 1-NN.
+class KernelEstimate:
+    """Locally constant Epanechnikov kernel regression; empty windows fall
+    back to 1-NN (ties -> lowest index).
 
-    The Epanechnikov kernel sums over prefix sums in one dimension and over
-    the kd-tree's pairs within h otherwise; the Gaussian kernel, whose
-    support is unbounded, sums over all n points."""
+    One dimension sums windows with prefix sums, higher ones over the
+    kd-tree's pairs within h."""
 
     method = "kernel"
 
-    def __init__(self, data: LabeledDataset, h: float, kernel: str = "epanechnikov"):
+    def __init__(self, data: LabeledDataset, h: float):
         self.h = _bandwidth(h)
-        if kernel not in ("epanechnikov", "gaussian"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         self._data = data
-        self.kernel = kernel
-        if data.d == 1 and kernel == "epanechnikov":
+        if data.d == 1:
             order = np.argsort(data.points[:, 0], kind="stable")
-            x = data.points[order, 0]
-            y = data.labels[order]
-            self._fast = _EpanechnikovPrefix(x, y)
-            self._index = None
+            self._prefix = _EpanechnikovPrefix(data.points[order, 0],
+                                               data.labels[order])
         else:
-            self._fast = None
-            self._index = _Neighbours(data.points)
+            self._prefix = None
+
+    @functools.cached_property
+    def _index(self) -> _Neighbours:
+        # built at first need: in one dimension only an empty window needs it
+        return _Neighbours(self._data.points)
 
     @property
     def hyperparameters(self) -> dict:
-        return {"h": self.h, "kernel": self.kernel}
+        return {"h": self.h}
 
     def _sums(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per query of ``block``: sum_i w_i and sum_i w_i y_i."""
-        labels = self._data.labels
-        h2 = self.h * self.h
-        if self.kernel == "epanechnikov":
-            rows, cols, d2 = self._index.pairs(block, self.h)
-            w = _epanechnikov(d2 / h2)
-            m = block.shape[0]
-            return (np.bincount(rows, w, minlength=m),
-                    np.bincount(rows, w * labels[cols], minlength=m))
-        d2 = ((block[:, None, :] - self._data.points[None, :, :]) ** 2).sum(axis=2)
-        w = np.exp(-0.5 * d2 / h2)
-        return w.sum(axis=1), w @ labels
+        if self._prefix is not None:
+            return self._prefix.sums(block[:, 0], self.h)
+        rows, cols, d2 = self._index.pairs(block, self.h)
+        w = _epanechnikov(d2 / (self.h * self.h))
+        m = block.shape[0]
+        return (np.bincount(rows, w, minlength=m),
+                np.bincount(rows, w * self._data.labels[cols], minlength=m))
 
     def evaluate(self, x) -> np.ndarray:
         queries, single = _as_batch(x, self._data.d)
-        if self._fast is not None:
-            # Fixed blocks bound the temporaries of the prefix-sum evaluation
-            # whatever the number of queries.
-            t = queries[:, 0]
-            out = np.empty(t.size)
-            for start in range(0, t.size, _PREFIX_CHUNK):
-                stop = start + _PREFIX_CHUNK
-                out[start:stop] = self._fast.evaluate(t[start:stop], self.h)
-        else:
-            out = np.empty(queries.shape[0])
-            for start in range(0, queries.shape[0], _CHUNK):
-                block = queries[start:start + _CHUNK]
-                den, num = self._sums(block)
-                vals = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-                empty = den <= 0
-                if np.any(empty):
-                    nearest = self._index.nearest(block[empty], 1)[:, 0]
-                    vals[empty] = self._data.labels[nearest]
-                out[start:start + block.shape[0]] = vals
+        # Fixed blocks bound the temporaries whatever the number of queries.
+        # Prefix sums of an empty window cancel only to rounding noise.
+        step, floor = (_PREFIX_CHUNK, 1e-12) if self._prefix is not None \
+            else (_CHUNK, 0.0)
+        out = np.empty(queries.shape[0])
+        for start in range(0, queries.shape[0], step):
+            block = queries[start:start + step]
+            den, num = self._sums(block)
+            ok = den > floor
+            vals = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+            if not np.all(ok):
+                nearest = self._index.nearest(block[~ok], 1)[:, 0]
+                vals[~ok] = self._data.labels[nearest]
+            out[start:start + block.shape[0]] = vals
         np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
 
@@ -313,7 +286,6 @@ class _EpanechnikovPrefix:
 
     def __init__(self, x_sorted: np.ndarray, y_sorted: np.ndarray):
         self.x = x_sorted
-        self.y = y_sorted
         self.center = 0.5 * (x_sorted[0] + x_sorted[-1])
         u = x_sorted - self.center
         z = np.zeros(1)
@@ -340,7 +312,8 @@ class _EpanechnikovPrefix:
         return (np.searchsorted(self.x, t - h, side="right"),
                 np.searchsorted(self.x, t + h, side="left"))
 
-    def evaluate(self, t: np.ndarray, h: float) -> np.ndarray:
+    def sums(self, t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per query: sum_i w_i and sum_i w_i y_i."""
         lo, hi = self._windows(t, h)
         h2 = h * h
         tc = t - self.center
@@ -352,20 +325,10 @@ class _EpanechnikovPrefix:
         s_u2 = self._window(self.cum_u2, lo, hi)
         num = s_y - (tc * tc * s_y - 2.0 * tc * s_uy + s_u2y) / h2
         den = s_1 - (tc * tc * s_1 - 2.0 * tc * s_u + s_u2) / h2
-        ok = den > 1e-12
-        vals = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-        if not np.all(ok):
-            # Empty (or numerically empty) window: 1-NN fallback.
-            bad = ~ok
-            pos = np.searchsorted(self.x, t[bad])
-            left = np.clip(pos - 1, 0, self.x.size - 1)
-            right = np.clip(pos, 0, self.x.size - 1)
-            take_left = np.abs(t[bad] - self.x[left]) <= np.abs(self.x[right] - t[bad])
-            vals[bad] = np.where(take_left, self.y[left], self.y[right])
-        return vals
+        return den, num
 
 
-class LocalPolyEstimate(RegressionEstimate):
+class LocalPolyEstimate:
     """Locally weighted polynomial fit with Epanechnikov weights in a radius-h
     window; singular or underdetermined local designs fall back to the
     locally constant kernel value."""
@@ -379,9 +342,7 @@ class LocalPolyEstimate(RegressionEstimate):
         self.h = _bandwidth(h)
         self._data = data
         self.degree = degree
-        self._fallback = KernelEstimate(data, self.h, kernel="epanechnikov")
-        # the windows share the fallback's tree; in 1-d it has none
-        self._index = self._fallback._index or _Neighbours(data.points)
+        self._fallback = KernelEstimate(data, self.h)
 
     @property
     def hyperparameters(self) -> dict:
@@ -406,9 +367,10 @@ class LocalPolyEstimate(RegressionEstimate):
         pts = self._data.points
         labels = self._data.labels
         h2 = self.h * self.h
+        index = self._fallback._index  # the windows share the kernel's tree
         out = np.empty(queries.shape[0])
         for i, q in enumerate(queries):
-            cand, d2 = self._index.within(q, self.h)
+            cand, d2 = index.within(q, self.h)
             in_window = d2 < h2
             rows = cand[in_window]
             w = _epanechnikov(d2[in_window] / h2)
@@ -432,7 +394,8 @@ _ESTIMATORS = {"knn": KNNEstimate, "kernel": KernelEstimate,
                "local_poly": LocalPolyEstimate}
 
 
-def fit_from_config(data: LabeledDataset, config: dict) -> RegressionEstimate:
+def fit_from_config(data: LabeledDataset,
+                    config: dict) -> KNNEstimate | KernelEstimate | LocalPolyEstimate:
     """Dispatch on ``config['method']`` (default ``'kernel'``); the remaining
     keys are hyperparameters.
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import lemma1_excess, solve_threshold
 from .discrete import FBetaParams
+from .estimators import _integer
 from .plugin import TrainingDegenerate, UnlabeledDataset, train_plugin
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
@@ -43,19 +44,22 @@ class ExperimentConfig:
     oracle_atoms: int = 200_000
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(_integer(n, "n_grid sizes") for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
             raise ValueError("n_grid must be nonempty and strictly increasing")
-        for name, value in (("n_grid sizes", grid[0]), ("reps", self.reps),
-                            ("oracle_atoms", self.oracle_atoms)):
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value!r}")
+        object.__setattr__(self, "n_grid", grid)
+        for name in ("reps", "seed", "oracle_atoms"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, value, least in (("n_grid sizes", grid[0], 1),
+                                   ("reps", self.reps, 1), ("seed", self.seed, 0),
+                                   ("oracle_atoms", self.oracle_atoms, 1)):
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
         FBetaParams(b=self.b)  # b must be positive
         rule = self.n_rule
         fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
         if rule not in ("n", "n2") and not (fixed and rule >= 1):
             raise ValueError(f"n_rule must be 'n', 'n2' or a positive int, got {rule!r}")
-        object.__setattr__(self, "n_grid", grid)
 
     def unlabeled_size(self, n: int) -> int:
         if self.n_rule == "n":

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrete import FBetaParams, require_finite
-from .estimators import LabeledDataset, RegressionEstimate, fit_from_config
+from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
+                         LocalPolyEstimate, fit_from_config)
 from .table import read_table, write_table
 from .threshold import ScoreSample, empirical_threshold
 
@@ -55,7 +56,7 @@ class UnlabeledDataset:
 
 @dataclass(frozen=True)
 class PluginClassifier:
-    eta_hat: RegressionEstimate
+    eta_hat: KNNEstimate | KernelEstimate | LocalPolyEstimate
     theta_hat: float
     params: FBetaParams
     provenance: dict = field(default_factory=dict)

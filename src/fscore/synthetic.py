@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
@@ -43,20 +42,6 @@ class MarginSpec:
             raise ValueError("delta0 must lie in (0, 1/12]")
 
 
-@dataclass(frozen=True)
-class DensitySpec:
-    mu_min: float
-    mu_max: float
-    c0_reg: float
-    r0_reg: float
-
-    def __post_init__(self):
-        if not (0.0 < self.mu_min <= self.mu_max):
-            raise ValueError("need 0 < mu_min <= mu_max")
-        if not (self.c0_reg > 0 and self.r0_reg > 0):
-            raise ValueError("regularity constants must be positive")
-
-
 # ---------------------------------------------------------------------------
 # Smooth bump primitives: the classical exp(-1/t) mollifier ratio.
 
@@ -74,10 +59,8 @@ def smoothstep(t) -> np.ndarray:
     return a / (a + b)
 
 
-def bump_u(t, override: Callable | None = None) -> np.ndarray:
+def bump_u(t) -> np.ndarray:
     """Nonincreasing smooth profile: 1 on [0, 1/4], 0 on [1/2, inf)."""
-    if override is not None:
-        return np.asarray(override(np.asarray(t, dtype=float)), dtype=float)
     return 1.0 - smoothstep(4.0 * (np.asarray(t, dtype=float) - 0.25))
 
 
@@ -99,11 +82,10 @@ class AnalyticDistribution:
     theta_star: float
     sampler: Callable  # (rng, n) -> (n, d) array of X draws
     discretizer: Callable  # (n_atoms, seed) -> DiscreteDistribution
+    margin_probabilities: Callable  # deltas -> exact P(0 < |eta - theta*| <= delta)
     density: Callable | None = None  # (k, d) -> (k,) density values
-    density_spec: DensitySpec | None = None
     margin: MarginSpec | None = None
     smoothness: SmoothnessSpec | None = None
-    margin_probabilities: Callable | None = None  # exact P(0<|eta-theta*|<=delta)
     extras: dict = field(default_factory=dict)
 
     def discretize(self, n_atoms: int, seed: int = 0) -> DiscreteDistribution:
@@ -130,28 +112,14 @@ def sample(dist: AnalyticDistribution, n: int, seed, labeled: bool = True):
 class MarginReport:
     deltas: np.ndarray
     probabilities: np.ndarray
-    std_errors: np.ndarray
     exponent: float
-    exact: bool
 
 
-def verify_margin(dist: AnalyticDistribution, delta_grid, n_mc: int = 200_000,
-                  seed: int = 0) -> MarginReport:
-    """Measure P(0 < |eta(X) - theta*| <= delta) per delta and fit the
-    log-log slope.  Uses the family's exact component probabilities when
-    available, Monte Carlo (with standard errors) otherwise."""
+def verify_margin(dist: AnalyticDistribution, delta_grid) -> MarginReport:
+    """The family's exact P(0 < |eta(X) - theta*| <= delta) per delta, and
+    the log-log slope fitted through the positive ones."""
     deltas = np.asarray(delta_grid, dtype=float)
-    if dist.margin_probabilities is not None:
-        probs = np.asarray(dist.margin_probabilities(deltas), dtype=float)
-        ses = np.zeros_like(probs)
-        exact = True
-    else:
-        rng = np.random.default_rng(seed)
-        x = np.asarray(dist.sampler(rng, n_mc), dtype=float).reshape(n_mc, dist.d)
-        gap = np.abs(dist.eta(x) - dist.theta_star)
-        probs = np.array([np.mean((gap > 0) & (gap <= d)) for d in deltas])
-        ses = np.sqrt(probs * (1.0 - probs) / n_mc)
-        exact = False
+    probs = np.asarray(dist.margin_probabilities(deltas), dtype=float)
     positive = probs > 0
     if not np.any(positive):
         exponent = math.inf
@@ -160,14 +128,13 @@ def verify_margin(dist: AnalyticDistribution, delta_grid, n_mc: int = 200_000,
     else:
         exponent = float(np.polyfit(np.log(deltas[positive]),
                                     np.log(probs[positive]), 1)[0])
-    return MarginReport(deltas=deltas, probabilities=probs, std_errors=ses,
-                        exponent=exponent, exact=exact)
+    return MarginReport(deltas=deltas, probabilities=probs, exponent=exponent)
 
 
 def verify_strong_density(dist: AnalyticDistribution, n_scan: int = 50_000,
                           seed: int = 0) -> dict:
-    """Scan the density over sampled support points; report min/max values,
-    the set of distinct levels, and the declared regularity constants."""
+    """Scan the density over sampled support points; report its observed
+    min and max and the set of distinct levels."""
     report: dict = {"has_density": dist.density is not None}
     if dist.density is None:
         report["note"] = "no Lebesgue density declared (atomic marginal)"
@@ -178,12 +145,6 @@ def verify_strong_density(dist: AnalyticDistribution, n_scan: int = 50_000,
     report["mu_min_observed"] = float(mu.min())
     report["mu_max_observed"] = float(mu.max())
     report["distinct_levels"] = sorted(set(np.round(mu, 10).tolist()))
-    if dist.density_spec is not None:
-        spec = dist.density_spec
-        report["declared"] = {"mu_min": spec.mu_min, "mu_max": spec.mu_max,
-                              "c0_reg": spec.c0_reg, "r0_reg": spec.r0_reg}
-        report["within_declared_bounds"] = bool(
-            mu.min() >= spec.mu_min - 1e-9 and mu.max() <= spec.mu_max + 1e-9)
     return report
 
 
@@ -254,7 +215,6 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
         density=lambda x: np.where(
             (np.asarray(x, dtype=float).reshape(-1) >= 0)
             & (np.asarray(x, dtype=float).reshape(-1) <= 1), 1.0, 0.0),
-        density_spec=DensitySpec(mu_min=1.0, mu_max=1.0, c0_reg=0.5, r0_reg=0.5),
         margin=MarginSpec(alpha=alpha_target, C0=2.0 * slope ** (-alpha_target)),
         smoothness=SmoothnessSpec(beta=min(beta, exponent, 1.0), L=slope),
         margin_probabilities=margin_probabilities,
@@ -288,7 +248,6 @@ def make_constant_family(eta_value: float = 0.5) -> AnalyticDistribution:
         name="constant", d=1, eta=eta_fn, theta_star=float(theta_star),
         sampler=lambda rng, n: rng.random(n)[:, None], discretizer=discretizer,
         density=lambda x: np.ones(np.asarray(x, dtype=float).reshape(-1).size),
-        density_spec=DensitySpec(mu_min=1.0, mu_max=1.0, c0_reg=0.5, r0_reg=0.5),
         margin=MarginSpec(alpha=math.inf),
         margin_probabilities=lambda deltas: np.zeros(np.asarray(deltas).size),
         extras={"eta_value": eta_value},
@@ -331,16 +290,17 @@ class HardFamilyParams:
     q: int
     m: int
     w: float
-    C_phi: float | None = None  # resolved at build time when omitted
-    rho: float | None = None    # smallest feasible dyadic value when omitted
     sigma: tuple | None = None  # +-1 per active cell; random when omitted
     L: float = 1.0
 
     def __post_init__(self):
         if self.d < 1 or self.q < 1:
             raise ValueError("d and q must be positive integers")
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
+        if not (0.0 < self.beta <= 1.0):
+            # past 1, a bound on pairwise ratios no longer checks Holder-beta
+            raise ValueError("the hard family supports beta in (0, 1]")
+        if not (self.L > 0):
+            raise ValueError("L must be positive")
         if not (1 <= self.m <= self.q ** self.d):
             raise ValueError("need 1 <= m <= q^d")
         if self.m >= self.q ** self.d:
@@ -357,65 +317,18 @@ def _ball_volume(d: int, r: float) -> float:
     return math.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0) * r ** d
 
 
-def _holder_ok(profile: Callable, lo: float, hi: float, beta: float, L: float,
-               n_grid: int = 160) -> bool:
-    """Pairwise numeric Holder check of a radial profile on [lo, hi]."""
-    r = np.linspace(lo, hi, n_grid)
+@functools.cache
+def _holder_seminorm(profile: Callable, beta: float, n_grid: int = 160) -> float:
+    """Largest pairwise ratio |f(s) - f(t)| / |s - t|^beta of a profile on an
+    ``n_grid``-point grid over [0, 1]: its numeric Holder-beta seminorm.
+    Rescaled, c * f((r - r0) / s) has seminorm c * s^-beta times this."""
+    r = np.linspace(0.0, 1.0, n_grid)
     f = np.asarray(profile(r), dtype=float)
-    df = np.abs(f[:, None] - f[None, :])
-    dr = np.abs(r[:, None] - r[None, :]) ** beta
-    mask = dr > 0
-    return bool(np.all(df[mask] <= L * dr[mask] * (1.0 + 1e-9) + 1e-12))
+    i, j = np.triu_indices(n_grid, k=1)
+    return float(np.max(np.abs(f[i] - f[j]) / (r[j] - r[i]) ** beta))
 
 
-def compute_bprime(p: HardFamilyParams, u_override: Callable | None = None,
-                   C_phi: float | None = None) -> float:
-    """Average bump height over one mass-carrying ball:
-    integral of phi d(mu) over a cell divided by the cell's mu-mass.
-
-    Since mu is constant on the ball, this reduces to a radial quadrature of
-    u(q r) against r^{d-1} over the ball radius 1/(4q)."""
-    c_phi = C_phi if C_phi is not None else p.C_phi
-    if c_phi is None:
-        raise ValueError("C_phi is unresolved; build the family first")
-    rb = 1.0 / (4.0 * p.q)
-    num, num_err = quad(lambda r: float(bump_u(p.q * r, u_override)) * r ** (p.d - 1),
-                        0.0, rb, epsabs=0.0, epsrel=1e-10, limit=200)
-    den = rb ** p.d / p.d
-    if not np.isfinite(num) or num_err > 1e-8 * max(num, 1e-300):
-        raise ArithmeticError("bump quadrature did not converge")
-    return c_phi * p.q ** (-p.beta) * num / den
-
-
-def _default_c_phi(p: HardFamilyParams) -> float:
-    # Largest halving-search value compatible with b' <= 1/8 and with the
-    # numeric Holder check of the radial bump profile at the family's (beta, L).
-    c = 0.99 * p.q ** p.beta / 8.0
-
-    def profile(r, c_phi):
-        return c_phi * p.q ** (-p.beta) * bump_u(p.q * np.asarray(r))
-
-    for _ in range(60):
-        if _holder_ok(lambda r: profile(r, c), 0.0, 1.0 / p.q, p.beta, p.L):
-            return c
-        c *= 0.5
-    raise ConstructionError("no bump amplitude satisfies the smoothness check")
-
-
-def _resolve_rho(p: HardFamilyParams, tau: float) -> float:
-    sqrt_d = math.sqrt(p.d)
-    for rho in (1.0 * 2 ** i for i in range(0, 9)):
-        def profile(r):
-            return (tau - 0.25) * bump_v((np.asarray(r) - sqrt_d) / rho) + 0.25
-
-        if _holder_ok(profile, sqrt_d, sqrt_d + rho, p.beta, p.L):
-            return rho
-    raise ConstructionError("no annulus width on the dyadic grid satisfies "
-                            "the smoothness check")
-
-
-def build_hard_family(p: HardFamilyParams, seed: int = 0,
-                      u_override: Callable | None = None) -> AnalyticDistribution:
+def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistribution:
     """Grid-of-bumps construction with the optimal threshold pinned at 1/4.
 
     eta takes 1/4 +- sigma_j * phi on the mirrored active cells, 1/4 on the
@@ -424,12 +337,13 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0,
     each active cell (and its mirror) and the rest on a far-away bulk ball.
     """
     q, m, w, d, beta = p.q, p.m, p.w, p.d, p.beta
-    c_phi = p.C_phi if p.C_phi is not None else _default_c_phi(p)
-    if c_phi <= 0:
-        raise ConstructionError("C_phi must be positive")
-    resolved = HardFamilyParams(d=d, beta=beta, q=q, m=m, w=w, C_phi=c_phi,
-                                rho=p.rho, sigma=p.sigma, L=p.L)
-    b_prime = compute_bprime(resolved, u_override=u_override)
+    # The bump C_phi q^-beta u(q r) has seminorm C_phi |u|_beta whatever q is,
+    # so one C_phi serves every grid; the cap keeps b' <= 1/8.
+    c_phi = min(p.L / _holder_seminorm(bump_u, beta), 1.0 / 8.0)
+    phi_max = c_phi * q ** (-beta)
+    # b' is the average bump height over a mass ball.  The balls have radius
+    # 1/(4q) and u(q r) = 1 for q r <= 1/4, so eta sits at its peak on them.
+    b_prime = phi_max
     if b_prime > 1.0 / 8.0 + 1e-12:
         raise ConstructionError(
             f"b_prime = {b_prime:.6g} violates the regime bound b_prime <= 1/8")
@@ -438,7 +352,11 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0,
     if not (0.25 < tau <= 1.0):
         raise ConstructionError(f"tau = {tau:.6g} outside (1/4, 1]; the mass "
                                 "budget m*w <= 1/2 is required")
-    rho = p.rho if p.rho is not None else _resolve_rho(resolved, tau)
+    # The bridge (tau - 1/4) v((r - sqrt d) / rho) has seminorm
+    # (tau - 1/4) |v|_beta rho^-beta: take the smallest power of two rho >= 1
+    # that brings it to L.
+    spread = (tau - 0.25) * _holder_seminorm(bump_v, beta) / p.L
+    rho = 2.0 ** max(0, math.ceil(math.log2(spread) / beta - 1e-9))
     rng = np.random.default_rng(seed)
     if p.sigma is not None:
         sigma = np.asarray(p.sigma, dtype=float)
@@ -448,7 +366,6 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0,
         sigma = rng.choice([-1.0, 1.0], size=m)
 
     sqrt_d = math.sqrt(d)
-    phi_max = c_phi * q ** (-beta)
     ball_r = 1.0 / (4.0 * q)
     lam_a0 = 1.0 - m * q ** (-d)
     r0 = (lam_a0 / _ball_volume(d, 1.0)) ** (1.0 / d)
@@ -471,7 +388,7 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0,
     def phi(x_pos):
         z = nearest_grid(x_pos)
         r = np.linalg.norm(x_pos - z, axis=1)
-        return phi_max * bump_u(q * r, u_override)
+        return phi_max * bump_u(q * r)
 
     def xi(r):
         return (tau - 0.25) * bump_v((r - sqrt_d) / rho) + 0.25
@@ -576,22 +493,18 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0,
     if abs(theta_check - 0.25) > 1e-9:
         raise ConstructionError(f"pinned threshold check failed: {theta_check!r}")
 
-    family = AnalyticDistribution(
+    return AnalyticDistribution(
         name="hard", d=d, eta=eta_fn, theta_star=0.25, sampler=sampler,
         discretizer=discretizer, density=density,
-        density_spec=DensitySpec(mu_min=min(ball_density, bulk_density),
-                                 mu_max=max(ball_density, bulk_density),
-                                 c0_reg=2.0 ** (-d), r0_reg=min(ball_r, r0)),
         margin=None,  # the exponent depends on how m, w scale with n
         smoothness=SmoothnessSpec(beta=beta, L=p.L),
         margin_probabilities=margin_probabilities,
-        extras={"params": resolved, "b_prime": b_prime, "tau": tau, "rho": rho,
-                "sigma": sigma, "phi_max": phi_max, "exact_atoms": exact_atoms,
-                "a0_center": a0_center, "a0_radius": r0,
-                "ball_radius": ball_r,
+        extras={"params": p, "C_phi": c_phi, "b_prime": b_prime, "tau": tau,
+                "rho": rho, "sigma": sigma, "phi_max": phi_max,
+                "exact_atoms": exact_atoms, "a0_center": a0_center,
+                "a0_radius": r0, "ball_radius": ball_r,
                 "density_levels": (ball_density, bulk_density)},
     )
-    return family
 
 
 def hard_family_rate_params(n: int, beta: float, d: int, alpha: float,
@@ -607,7 +520,8 @@ def hard_family_rate_params(n: int, beta: float, d: int, alpha: float,
     m = max(1, int(cdouble * q ** (d - alpha * beta)))
     m = min(m, q ** d - 1)
     w = cprime * q ** (-float(d))
-    w = min(w, 0.499 / m)
+    # at m w = 4/9, tau = 1 - 16 b'/3 lies in (1/4, 1] for every b' <= 1/8
+    w = min(w, 4.0 / (9.0 * m))
     return HardFamilyParams(d=d, beta=beta, q=q, m=m, w=w)
 
 

@@ -128,7 +128,7 @@ def test_criterion_5_hard_construction():
         phi_max = fam.extras["phi_max"]
         mw = params.m * params.w
         deltas = np.array([phi_max / 2, phi_max, 0.02, 0.05, 0.1, 0.3])
-        probs = fs.verify_margin(fam, deltas, seed=0).probabilities
+        probs = fs.verify_margin(fam, deltas).probabilities
         two_term = 2 * mw * (deltas >= phi_max - 1e-12) + 12.0 * deltas
         margin_ok &= bool(np.all(probs <= two_term + 1e-9))
     elapsed = time.time() - start

@@ -163,11 +163,29 @@ def test_kernel_empty_window_falls_back_to_nearest():
     assert est.evaluate(np.array([[0.7]]))[0] == 0.0
 
 
-def test_gaussian_kernel_runs():
-    data = make_data(n=300, seed=3)
-    est = fs.KernelEstimate(data, h=0.1, kernel="gaussian")
-    vals = est.evaluate(np.array([[0.5]]))
-    assert 0.0 <= vals[0] <= 1.0
+def test_kernel_1d_fallback_breaks_ties_by_lowest_index():
+    def kernel(points, labels):
+        return fs.KernelEstimate(LabeledDataset(points=np.array(points)[:, None],
+                                                labels=labels), h=0.01)
+
+    assert kernel([0.0, 0.0], [1.0, 0.0]).evaluate([[0.5], [-0.5]]).tolist() == [1.0, 1.0]
+    assert kernel([1.0, 0.0], [1.0, 0.0]).evaluate([[0.5]]).tolist() == [1.0]
+    # many duplicates; the halfway queries see no point within h and are
+    # equidistant from two locations, so every fallback decides a tie
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 5, size=60).astype(float)
+    labels = rng.integers(0, 2, size=60).astype(float)
+    queries = np.arange(-1.5, 5.6, 1.0)[:, None]
+    out = fs.KernelEstimate(LabeledDataset(points=x[:, None], labels=labels),
+                            h=0.01).evaluate(queries)
+    knn = fs.KNNEstimate(LabeledDataset(points=x[:, None], labels=labels),
+                         k=1).evaluate(queries)
+    flat = np.column_stack([x, np.zeros_like(x)])
+    in_plane = fs.KernelEstimate(LabeledDataset(points=flat, labels=labels),
+                                 h=0.01).evaluate(np.column_stack(
+                                     [queries[:, 0], np.zeros(len(queries))]))
+    np.testing.assert_array_equal(out, knn)
+    np.testing.assert_array_equal(out, in_plane)
 
 
 def test_local_poly_reproduces_linear_function_exactly():

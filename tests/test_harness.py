@@ -25,9 +25,22 @@ def test_config_validation():
                          (dict(n_grid=(-5, 10)), "n_grid"),
                          (dict(oracle_atoms=0), "oracle_atoms"),
                          (dict(b=-1.0), "b must"),
-                         (dict(b=0.0), "b must")):
+                         (dict(b=0.0), "b must"),
+                         (dict(n_grid=(100.7, 200)), "n_grid"),
+                         (dict(n_grid=(True, 200)), "n_grid"),
+                         (dict(reps=True), "reps"),
+                         (dict(reps=2.5), "reps"),
+                         (dict(oracle_atoms=1000.5), "oracle_atoms"),
+                         (dict(seed=1.5), "seed"),
+                         (dict(seed=-1), "seed")):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**kwargs)
+    # integral floats are accepted, and stored as ints
+    cfg = ExperimentConfig(n_grid=(500.0, 1000), reps=5.0, seed=3.0,
+                           oracle_atoms=1000.0)
+    assert cfg.n_grid == (500, 1000) and type(cfg.n_grid[0]) is int
+    assert (cfg.reps, cfg.seed, cfg.oracle_atoms) == (5, 3, 1000)
+    assert all(type(v) is int for v in (cfg.reps, cfg.seed, cfg.oracle_atoms))
 
 
 def test_n_rules():

@@ -44,7 +44,7 @@ def test_smooth_family_built_once_per_arguments():
 
 def test_smooth_family_margin_exponent_near_one():
     fam = fs.make_smooth_1d_family()
-    rep = fs.verify_margin(fam, [0.01, 0.02, 0.05, 0.1], seed=0)
+    rep = fs.verify_margin(fam, [0.01, 0.02, 0.05, 0.1])
     assert rep.exponent == pytest.approx(1.0, abs=0.1)
 
 
@@ -58,7 +58,7 @@ def test_smooth_family_sampling_labels_match_eta():
 def test_smooth_family_density_uniform():
     fam = fs.make_smooth_1d_family()
     rep = fs.verify_strong_density(fam)
-    assert rep["within_declared_bounds"]
+    assert rep["mu_min_observed"] == rep["mu_max_observed"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_smooth_family_density_uniform():
 def test_constant_family_threshold():
     fam = fs.make_constant_family(eta_value=0.5)
     assert fam.theta_star == pytest.approx(1 / 3, abs=1e-12)
-    rep = fs.verify_margin(fam, [0.01, 0.1], seed=0)
+    rep = fs.verify_margin(fam, [0.01, 0.1])
     assert np.all(rep.probabilities == 0.0)
     assert np.isinf(fam.margin.alpha)
 
@@ -114,26 +114,40 @@ def test_hard_family_mean_eta_identity():
         float(atoms.mass @ atoms.eta), abs=1e-12)
 
 
-def test_bprime_equals_phi_peak_on_plateau():
-    # the mass balls have radius 1/(4q), entirely inside the region where the
-    # default bump is flat at its peak, so the cell average equals the peak
-    p = hard_params()
-    fam = fs.build_hard_family(p, seed=0)
-    c_phi = fam.extras["phi_max"] * p.q ** p.beta
-    bprime = fs.compute_bprime(p, C_phi=c_phi)
-    assert bprime == pytest.approx(fam.extras["phi_max"], rel=1e-9)
-    assert bprime <= 1 / 8
+RATE_NS = (250, 500, 1000, 2000, 4000, 8000, 16000, 32000)
 
 
-def test_bprime_strictly_interior_for_wide_bump():
-    # a bump still decaying on the ball gives a strictly smaller average
-    def u_wide(t):
-        return np.clip(1.0 - np.asarray(t, dtype=float), 0.0, 1.0)
+@pytest.mark.parametrize("d, alpha", [(1, 0.5), (1, 1.0), (2, 1.0)])
+def test_rate_params_pinned_at_beta_one(d, alpha):
+    # C_phi = min(L / |u|_1, 1/8) = 1/8 whatever q is; the mass balls of
+    # radius 1/(4q) sit on the bump's plateau, so b' = phi_max; and the
+    # bridge from 1/4 to tau needs no widening
+    for n in RATE_NS:
+        p = fs.hard_family_rate_params(n, beta=1.0, d=d, alpha=alpha)
+        ex = fs.build_hard_family(p, seed=0).extras
+        assert ex["C_phi"] == 0.125
+        assert ex["phi_max"] == pytest.approx(0.125 / p.q, rel=1e-15)
+        assert ex["b_prime"] == ex["phi_max"]
+        assert ex["rho"] == 1.0
+        # pairwise Holder check of the radial bump profile at L
+        r = np.linspace(0.0, 1.0 / p.q, 160)
+        f = ex["phi_max"] * bump_u(p.q * r)
+        i, j = np.triu_indices(r.size, k=1)
+        assert np.all(np.abs(f[i] - f[j]) <= p.L * (r[j] - r[i]) ** p.beta * (1 + 1e-9))
+    with pytest.raises(ValueError, match="beta"):
+        fs.hard_family_rate_params(1000, beta=1.5, d=1, alpha=0.5)
 
-    p = hard_params()
-    bprime = fs.compute_bprime(p, u_override=u_wide, C_phi=0.1)
-    peak = 0.1 * p.q ** (-p.beta)
-    assert 0.0 < bprime < peak
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_rate_params_always_build(d, alpha):
+    # m w is clamped at 4/9, where tau = 1 - 16 b'/3 stays in (1/4, 1]
+    for n in RATE_NS:
+        p = fs.hard_family_rate_params(n, beta=1.0, d=d, alpha=alpha)
+        fam = fs.build_hard_family(p, seed=0)
+        assert p.m * p.w <= 4 / 9 + 1e-15
+        assert fs.bayes_threshold(fam.extras["exact_atoms"]) == pytest.approx(
+            0.25, abs=1e-9)
 
 
 def test_hard_family_margin_two_term_bound():
@@ -142,7 +156,7 @@ def test_hard_family_margin_two_term_bound():
     phi_max = fam.extras["phi_max"]
     mw = p.m * p.w
     deltas = np.array([phi_max / 2, phi_max, 0.03, 0.1, 0.3])
-    rep = fs.verify_margin(fam, deltas, seed=0)
+    rep = fs.verify_margin(fam, deltas)
     bound = 2 * mw * (deltas >= phi_max - 1e-12) + 12.0 * deltas
     assert np.all(rep.probabilities <= bound + 1e-9)
 
