@@ -143,9 +143,10 @@ def _run(args) -> int:
     if args.command == "dkw":
         cfg = _with_flags({**_DKW_DEFAULTS, **_load_config(args.config)}, args,
                           _DKW_DEFAULTS)
-        rows = run_dkw_check(_number_list(cfg["n_values"], int),
+        # parsed as numbers only: run_dkw_check rejects a fractional N or reps
+        rows = run_dkw_check(_number_list(cfg["n_values"], float),
                              _number_list(cfg["t_values"], float),
-                             int(cfg["reps"]), seed=int(cfg["seed"]))
+                             cfg["reps"], seed=cfg["seed"])
         paths = emit_report(rows, args.format, args.out, stem="dkw")
         print(json.dumps({"rows": rows, "written": paths}, indent=2,
                          sort_keys=True))

@@ -3,7 +3,9 @@
 Three fitters are provided: k-nearest-neighbor, locally constant
 Epanechnikov kernel smoothing and local polynomial fitting.  A kd-tree over
 the labeled points finds neighbours and windows; the one-dimensional kernel
-sums windows with prefix sums instead.  All outputs are clipped to [0, 1].
+instead sweeps its sorted queries once against the sorted points and takes
+window sums from prefix sums, once per run of queries that share a window
+where such runs are long.  All outputs are clipped to [0, 1].
 ``default_bandwidth`` gives the rate-matched bandwidth h = n^{-1/(2 beta + d)}
 and the companion concentration rate a_n = n^{2 beta / (2 beta + d)}.
 """
@@ -220,8 +222,8 @@ class KernelEstimate:
     """Locally constant Epanechnikov kernel regression; empty windows fall
     back to 1-NN (ties -> lowest index).
 
-    One dimension sums windows with prefix sums, higher ones over the
-    kd-tree's pairs within h."""
+    One dimension sums windows by a sorted sweep over prefix sums, higher
+    ones over the kd-tree's pairs within h."""
 
     method = "kernel"
 
@@ -229,9 +231,12 @@ class KernelEstimate:
         self.h = _bandwidth(h)
         self._data = data
         if data.d == 1:
-            order = np.argsort(data.points[:, 0], kind="stable")
-            self._prefix = _EpanechnikovPrefix(data.points[order, 0],
-                                               data.labels[order])
+            x = data.points[:, 0]
+            order = np.argsort(x)
+            if np.any(np.diff(x[order]) == 0):
+                # sorts disagree only on ties; sum tied points in index order
+                order = np.argsort(x, kind="stable")
+            self._prefix = _EpanechnikovPrefix(x[order], data.labels[order])
         else:
             self._prefix = None
 
@@ -263,69 +268,96 @@ class KernelEstimate:
         out = np.empty(queries.shape[0])
         for start in range(0, queries.shape[0], step):
             block = queries[start:start + step]
+            vals = out[start:start + block.shape[0]]
             den, num = self._sums(block)
             ok = den > floor
-            vals = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+            np.divide(num, den, out=vals, where=ok)
             if not np.all(ok):
                 nearest = self._index.nearest(block[~ok], 1)[:, 0]
                 vals[~ok] = self._data.labels[nearest]
-            out[start:start + block.shape[0]] = vals
         np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
 
 
 class _EpanechnikovPrefix:
-    """O(log n) per query Epanechnikov smoothing in one dimension.
+    """Epanechnikov smoothing in one dimension by one sorted sweep.
 
     For w_i = 1 - ((t - x_i)/h)^2 over |t - x_i| < h, both the weighted label
     sum and the weight sum expand into window sums of y, u*y and u^2*y, all
     available from prefix sums, where u = x - c is taken from the midpoint c
     of the data range: far from 0 the terms of the uncentered expansion
-    cancel.
+    cancel.  Over ascending queries a window [lo, hi) changes only where a
+    point enters or leaves it (the updating of Fan & Marron 1994): a block's
+    points are placed among its window edges once, and where few points are
+    in reach, the consecutive queries that share a window share its sums.
     """
 
     def __init__(self, x_sorted: np.ndarray, y_sorted: np.ndarray):
         self.x = x_sorted
         self.center = 0.5 * (x_sorted[0] + x_sorted[-1])
         u = x_sorted - self.center
-        z = np.zeros(1)
-        self.cum_y = np.concatenate([z, np.cumsum(y_sorted)])
-        self.cum_uy = np.concatenate([z, np.cumsum(u * y_sorted)])
-        self.cum_u2y = np.concatenate([z, np.cumsum(u ** 2 * y_sorted)])
-        self.cum_1 = np.concatenate([z, np.cumsum(np.ones_like(u))])
-        self.cum_u = np.concatenate([z, np.cumsum(u)])
-        self.cum_u2 = np.concatenate([z, np.cumsum(u ** 2)])
+        u2 = u ** 2
+        # prefix sums of y, u*y, u^2*y, u and u^2; a window's count is hi - lo
+        self.cums = [np.concatenate([[0.0], np.cumsum(terms)])
+                     for terms in (y_sorted, u * y_sorted, u2 * y_sorted, u, u2)]
 
-    def _window(self, cum, lo, hi):
-        return cum[hi] - cum[lo]
+    def _placed(self, edges: np.ndarray, side: str) -> tuple[int, np.ndarray]:
+        """Over ascending ``edges``: the number of points before the first
+        edge (x_i < e for side "left", x_i <= e for "right"), and for each
+        later point up to the last edge, the first edge it is before.  Only
+        those later points are searched."""
+        first, last = np.searchsorted(self.x, edges[[0, -1]], side)
+        return first, np.searchsorted(edges, self.x[first:last],
+                                      "right" if side == "left" else "left")
 
-    def _windows(self, t: np.ndarray, h: float):
-        """Index range [lo, hi) of the points with |t - x_i| < h, per query."""
-        if np.all(t[1:] >= t[:-1]):
-            # Ascending queries: place the n points among the queries and
-            # count, which is cheaper than a binary search per query.
-            m = t.size
-            first_past = np.searchsorted(t - h, self.x, side="left")
-            first_within = np.searchsorted(t + h, self.x, side="right")
-            return (np.cumsum(np.bincount(first_past, minlength=m + 1)[:m]),
-                    np.cumsum(np.bincount(first_within, minlength=m + 1)[:m]))
-        return (np.searchsorted(self.x, t - h, side="right"),
-                np.searchsorted(self.x, t + h, side="left"))
+    def _runs(self, t: np.ndarray, h: float):
+        """Index ranges [lo, hi) of the points with |t - x_i| < h over
+        ascending ``t``.  With few points in reach of the block, the
+        queries fall into long runs that share one range: then one range
+        per run and the run lengths, else one range per query and None."""
+        lo0, enter = self._placed(t - h, "right")
+        hi0, leave = self._placed(t + h, "left")
+        m = t.size
+        # runs average over 8 queries here: copying a run's sums along it
+        # then beats a gather per query
+        if 8 * (enter.size + leave.size + 1) < m:
+            starts = np.unique(np.concatenate(([0], enter, leave)))
+            return (lo0 + np.searchsorted(enter, starts, "right"),
+                    hi0 + np.searchsorted(leave, starts, "right"),
+                    np.diff(starts, append=m))
+        return (lo0 + np.cumsum(np.bincount(enter, minlength=m)),
+                hi0 + np.cumsum(np.bincount(leave, minlength=m)), None)
 
     def sums(self, t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Per query: sum_i w_i and sum_i w_i y_i."""
-        lo, hi = self._windows(t, h)
-        h2 = h * h
+        if not np.all(t[1:] >= t[:-1]):
+            # equal queries get equal windows and equal arithmetic, so the
+            # sweep over the sorted block gives each query the same bits
+            order = np.argsort(t)
+            den, num = np.empty((2, t.size))
+            den[order], num[order] = self.sums(t[order], h)
+            return den, num
+        lo, hi, lengths = self._runs(t, h)
+        s = [cum[hi] - cum[lo] for cum in self.cums]
+        s.append((hi - lo).astype(float))
+        if lengths is not None:
+            # each query of a run takes the run's sums
+            s = [np.repeat(v, lengths) for v in s]
+        s_y, s_uy, s_u2y, s_u, s_u2, s_1 = s
         tc = t - self.center
-        s_y = self._window(self.cum_y, lo, hi)
-        s_uy = self._window(self.cum_uy, lo, hi)
-        s_u2y = self._window(self.cum_u2y, lo, hi)
-        s_1 = self._window(self.cum_1, lo, hi)
-        s_u = self._window(self.cum_u, lo, hi)
-        s_u2 = self._window(self.cum_u2, lo, hi)
-        num = s_y - (tc * tc * s_y - 2.0 * tc * s_uy + s_u2y) / h2
-        den = s_1 - (tc * tc * s_1 - 2.0 * tc * s_u + s_u2) / h2
-        return den, num
+        tc2 = tc * tc
+        tc *= 2.0
+        h2 = h * h
+
+        def expand(s, s_u, s_u2):
+            # s - (tc^2 s - 2 tc s_u + s_u2) / h^2, in this order of operations
+            out = tc2 * s
+            out -= np.multiply(tc, s_u, out=s_u)
+            out += s_u2
+            out /= h2
+            return np.subtract(s, out, out=out)
+
+        return expand(s_1, s_u, s_u2), expand(s_y, s_uy, s_u2y)
 
 
 class LocalPolyEstimate:

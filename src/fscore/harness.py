@@ -116,7 +116,8 @@ def _unlabeled_draw(family, rng, big_n) -> UnlabeledDataset:
     x = np.asarray(family.sampler(rng, big_n), dtype=float).reshape(big_n, family.d)
     if family.d == 1:
         # theta_hat depends only on the multiset of scores, so the order is
-        # free; sorted queries make the estimator's window searches fast
+        # free; the 1-d kernel sweeps sorted queries as they come and argsorts
+        # any other block first
         x.sort(axis=0)
     return UnlabeledDataset(points=x)
 
@@ -199,13 +200,16 @@ def run_threshold_experiment(cfg: ExperimentConfig) -> RateFitResult:
 def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
     """Exceedance frequency of the sup-CDF deviation of N uniform draws
     against the bound 2 exp(-2 N t^2), per (N, t) cell."""
-    if reps < 100:
-        raise ValueError("reps must be at least 100")
+    N_values = [_integer(n, "N_values") for n in N_values]
+    reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
+    for name, value, least in (("N_values", min(N_values, default=1), 1),
+                               ("reps", reps, 100), ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     rows = []
     sups = {}
     for n in N_values:
-        n = int(n)
         devs = np.empty(reps)
         for r in range(reps):
             u = np.sort(rng.random(n))
@@ -213,7 +217,6 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
             devs[r] = max((i / n - u).max(), (u - (i - 1) / n).max())
         sups[n] = devs
     for n in N_values:
-        n = int(n)
         for t in t_values:
             t = float(t)
             freq = float(np.mean(sups[n] >= t))

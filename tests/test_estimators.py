@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fscore as fs
+from fscore import estimators
 from fscore.estimators import LabeledDataset
 
 
@@ -67,6 +70,39 @@ def dense_local_poly(est, data, queries):
                                            data.labels[in_window] * sw, rcond=None)
         out[i] = fallback if rank < design.shape[1] else coef[0]
     return np.clip(out, 0.0, 1.0)
+
+
+def searched_epanechnikov(data, h, queries):
+    """The one-dimensional kernel with a binary search for each query's
+    window over the points sorted stably, and the estimator's expansion of
+    the window sums evaluated per query; an empty window takes the label of
+    the nearest point, the lowest index among equidistant ones."""
+    order = np.argsort(data.points[:, 0], kind="stable")
+    x, y = data.points[order, 0], data.labels[order]
+    t = queries[:, 0]
+    lo = np.searchsorted(x, t - h, side="right")
+    hi = np.searchsorted(x, t + h, side="left")
+    center = 0.5 * (x[0] + x[-1])
+    u, tc, h2, ones = x - center, t - center, h * h, np.ones_like(x)
+
+    def window(v):
+        cum = np.concatenate([np.zeros(1), np.cumsum(v)])
+        return cum[hi] - cum[lo]
+
+    num = window(y) - (tc * tc * window(y) - 2.0 * tc * window(u * y)
+                       + window(u ** 2 * y)) / h2
+    den = window(ones) - (tc * tc * window(ones) - 2.0 * tc * window(u)
+                          + window(u ** 2)) / h2
+    ok = den > 1e-12
+    out = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+    for i in np.flatnonzero(~ok):
+        out[i] = data.labels[np.argmin((data.points[:, 0] - t[i]) ** 2)]
+    return np.clip(out, 0.0, 1.0)
+
+
+def assert_same_bits(actual, expected):
+    np.testing.assert_array_equal(np.asarray(actual).view(np.int64),
+                                  np.asarray(expected).view(np.int64))
 
 
 def tie_grid(d, seed=0):
@@ -153,6 +189,67 @@ def test_kernel_fast_path_query_order():
     ascending = np.argsort(queries[:, 0])
     np.testing.assert_array_equal(est.evaluate(queries[ascending]),
                                   est.evaluate(queries)[ascending])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_sweep_matches_binary_search(draw):
+    # Eighths are exact, so grid queries land exactly h from grid points,
+    # where the window edge decides, and repeat; points are duplicated with
+    # mixed labels, queries reach past the data on both sides, and small
+    # blocks put block boundaries anywhere, with blocks wholly outside it.
+    eighths = st.integers(-12, 52).map(lambda k: k / 8)
+    x = draw.draw(st.lists(eighths, min_size=1, max_size=40))
+    y = draw.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(x),
+                           max_size=len(x)))
+    h = draw.draw(st.sampled_from([0.125, 0.5, 1.0, 3.0]))
+    q = sorted(draw.draw(st.lists(eighths | st.floats(-3.0, 9.0), min_size=1,
+                                  max_size=200)))
+    q = draw.draw(st.sampled_from([q, q[::-1], draw.draw(st.permutations(q))]))
+    chunk = draw.draw(st.sampled_from([1, 2, 5, 64, 65_536]))
+    data = LabeledDataset(points=np.array(x)[:, None], labels=y)
+    queries = np.array(q)[:, None]
+    est = fs.KernelEstimate(data, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PREFIX_CHUNK", chunk)
+        out = est.evaluate(queries)
+        single = est.evaluate(queries[0])
+    expected = searched_epanechnikov(data, h, queries)
+    assert_same_bits(out, expected)
+    assert_same_bits(single, expected[0])
+
+
+@pytest.mark.parametrize("n, per_run", [(20, True), (2000, False)])
+def test_kernel_sweep_expansions(n, per_run):
+    # few points per block make long runs, whose sums are taken once and
+    # copied along them; many make short runs, summed per query
+    data, h = make_data(n=n, seed=n), 0.1 if n == 20 else 0.05
+    rng = np.random.default_rng(n)
+    t = np.sort(rng.random(4000) * 1.2 - 0.1)
+    est = fs.KernelEstimate(data, h)
+    lo, _, lengths = est._prefix._runs(t, h)
+    assert (lengths is not None) == per_run
+    assert lo.size < 100 if per_run else lo.size == t.size
+    for queries in (t, t[::-1], rng.permutation(t)):
+        assert_same_bits(est.evaluate(queries[:, None]),
+                         searched_epanechnikov(data, h, queries[:, None]))
+
+
+@pytest.mark.parametrize("ties", [True, False])
+def test_kernel_fit_sort_matches_stable_order(ties):
+    # tied features with different labels in shuffled index order: the
+    # prefix sums must come out as if the points were sorted stably
+    rng = np.random.default_rng(31)
+    x = rng.random(3000)
+    if ties:
+        x = np.round(x, 2)[rng.permutation(x.size)]
+    data = LabeledDataset(points=x[:, None],
+                          labels=(rng.random(x.size) < 0.5).astype(float))
+    assert (np.unique(x).size < x.size) == ties
+    queries = np.linspace(-0.1, 1.1, 2401)[:, None]
+    for h in (0.003, 0.03):
+        assert_same_bits(fs.KernelEstimate(data, h).evaluate(queries),
+                         searched_epanechnikov(data, h, queries))
 
 
 def test_kernel_empty_window_falls_back_to_nearest():

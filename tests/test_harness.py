@@ -101,6 +101,20 @@ def test_dkw_reps_floor():
         run_dkw_check([100], [0.1], reps=10)
 
 
+def test_dkw_checks_integer_inputs():
+    for args, kwargs, field in ((([100.7, 1000], [0.1], 200), {}, "N_values"),
+                                (([True], [0.1], 200), {}, "N_values"),
+                                (([0, 100], [0.1], 200), {}, "N_values"),
+                                (([100], [0.1], 200.9), {}, "reps"),
+                                (([100], [0.1], 200), {"seed": 1.5}, "seed"),
+                                (([100], [0.1], 200), {"seed": -1}, "seed")):
+        with pytest.raises(ValueError, match=field):
+            run_dkw_check(*args, **kwargs)
+    rows = run_dkw_check([100.0], [0.1], reps=200.0, seed=3.0)
+    assert rows == run_dkw_check([100], [0.1], reps=200, seed=3)
+    assert type(rows[0]["N"]) is int
+
+
 def test_emit_csv_round_trip(tmp_path):
     res = run_rate_experiment(ExperimentConfig(**SMALL))
     paths = emit_report(res, "csv", str(tmp_path))
