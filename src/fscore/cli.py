@@ -101,11 +101,17 @@ def _parse_estimator(raw) -> dict:
     return {"method": raw}
 
 
-def _number_list(raw, kind) -> list:
-    """A comma-separated string or a JSON list, as a list of ``kind``."""
+def _number(raw):
+    """A string parsed as a float; a JSON number as it is, so that a boolean
+    or a fraction reaches the callee's integer check unchanged."""
+    return float(raw) if isinstance(raw, str) else raw
+
+
+def _number_list(raw) -> list:
+    """A comma-separated string or a JSON list, as a list of numbers."""
     if isinstance(raw, str):
         raw = [tok for tok in raw.split(",") if tok.strip()]
-    return [kind(v) for v in raw]
+    return [_number(v) for v in raw]
 
 
 def _with_flags(cfg: dict, args, keys) -> dict:
@@ -119,7 +125,7 @@ def _experiment_config(args) -> ExperimentConfig:
                       ("n_grid", "reps", "seed", "family", "estimator", "b"))
     if "n_grid" in cfg:
         # parsed as numbers only: ExperimentConfig rejects a fractional size
-        cfg["n_grid"] = _number_list(cfg["n_grid"], float)
+        cfg["n_grid"] = _number_list(cfg["n_grid"])
     if "estimator" in cfg:
         cfg["estimator"] = _parse_estimator(cfg["estimator"])
     if args.n_rule is not None:
@@ -144,9 +150,9 @@ def _run(args) -> int:
         cfg = _with_flags({**_DKW_DEFAULTS, **_load_config(args.config)}, args,
                           _DKW_DEFAULTS)
         # parsed as numbers only: run_dkw_check rejects a fractional N or reps
-        rows = run_dkw_check(_number_list(cfg["n_values"], float),
-                             _number_list(cfg["t_values"], float),
-                             cfg["reps"], seed=cfg["seed"])
+        rows = run_dkw_check(_number_list(cfg["n_values"]),
+                             _number_list(cfg["t_values"]),
+                             _number(cfg["reps"]), seed=_number(cfg["seed"]))
         paths = emit_report(rows, args.format, args.out, stem="dkw")
         print(json.dumps({"rows": rows, "written": paths}, indent=2,
                          sort_keys=True))

@@ -47,14 +47,10 @@ class ExperimentConfig:
         grid = tuple(_integer(n, "n_grid sizes") for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
             raise ValueError("n_grid must be nonempty and strictly increasing")
+        _integer(grid[0], "n_grid sizes", 1)
         object.__setattr__(self, "n_grid", grid)
-        for name in ("reps", "seed", "oracle_atoms"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name, value, least in (("n_grid sizes", grid[0], 1),
-                                   ("reps", self.reps, 1), ("seed", self.seed, 0),
-                                   ("oracle_atoms", self.oracle_atoms, 1)):
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        for name, least in (("reps", 1), ("seed", 0), ("oracle_atoms", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         FBetaParams(b=self.b)  # b must be positive
         rule = self.n_rule
         fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
@@ -200,12 +196,8 @@ def run_threshold_experiment(cfg: ExperimentConfig) -> RateFitResult:
 def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
     """Exceedance frequency of the sup-CDF deviation of N uniform draws
     against the bound 2 exp(-2 N t^2), per (N, t) cell."""
-    N_values = [_integer(n, "N_values") for n in N_values]
-    reps, seed = _integer(reps, "reps"), _integer(seed, "seed")
-    for name, value, least in (("N_values", min(N_values, default=1), 1),
-                               ("reps", reps, 100), ("seed", seed, 0)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    N_values = [_integer(n, "N_values", 1) for n in N_values]
+    reps, seed = _integer(reps, "reps", 100), _integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     rows = []
     sups = {}

@@ -68,6 +68,8 @@ def test_dkw_flags_override_config_file(tmp_path, capsys):
 def test_dkw_rejects_fractional_integers(tmp_path, capsys):
     # a fractional N or reps used to be truncated by int() and run silently
     for values, field in (({"n_values": [100.7, 1000]}, "N_values"),
+                          ({"n_values": [True]}, "N_values"),
+                          ({"reps": False}, "reps"),
                           ({"reps": 200.9}, "reps"),
                           ({"seed": 1.5}, "seed"),
                           ({"n_values": "0,100"}, "N_values"),
@@ -80,13 +82,14 @@ def test_dkw_rejects_fractional_integers(tmp_path, capsys):
         record = json.loads(stderr)
         assert record["error"] == "ValueError" and field in record["message"]
     assert not (tmp_path / "o").exists()
-    # integral floats are still accepted
-    cfg.write_text(json.dumps({"n_values": [50.0], "t_values": [0.1],
-                               "reps": 100.0, "seed": 2.0}))
-    code, stdout, _ = run_cli(capsys, "dkw", "--config", str(cfg),
-                              "--out", str(tmp_path / "o"))
-    assert code == 0
-    assert json.loads(stdout)["rows"] == fs.run_dkw_check([50], [0.1], 100, seed=2)
+    # integral floats and numeric strings are still accepted
+    for values in ({"n_values": [50.0], "reps": 100.0, "seed": 2.0},
+                   {"n_values": ["50"], "reps": "100", "seed": "2"}):
+        cfg.write_text(json.dumps({"t_values": [0.1], **values}))
+        code, stdout, _ = run_cli(capsys, "dkw", "--config", str(cfg),
+                                  "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert json.loads(stdout)["rows"] == fs.run_dkw_check([50], [0.1], 100, seed=2)
 
 
 def test_oracle_suite_subcommand(tmp_path, capsys):

@@ -237,8 +237,11 @@ def test_kernel_sweep_expansions(n, per_run):
 
 @pytest.mark.parametrize("ties", [True, False])
 def test_kernel_fit_sort_matches_stable_order(ties):
-    # tied features with different labels in shuffled index order: the
-    # prefix sums must come out as if the points were sorted stably
+    # tied features with different labels in shuffled index order.  The fit
+    # sorts with the default argsort, which may order tied points any way;
+    # with binary labels every order gives the same prefix sums at each
+    # window edge, so eta_hat must match the stable-order reference bit for
+    # bit.  This guards that the order of tied points cannot move eta_hat.
     rng = np.random.default_rng(31)
     x = rng.random(3000)
     if ties:
