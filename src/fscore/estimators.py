@@ -27,7 +27,10 @@ from .table import read_table, write_table
 
 _CHUNK = 512  # queries per block of window pairs
 _NEIGHBOUR_ENTRIES = 65_536  # (query, neighbour) entries per block of k-NN queries
-_PREFIX_CHUNK = 65_536  # queries per block of the 1-d Epanechnikov fast path
+# Queries per block of the 1-d Epanechnikov fast path.  glibc's malloc hands
+# larger blocks' temporaries back to the system and page-faults them in
+# again per block (287 000 minor faults on the N = n rate curve at 65 536).
+_PREFIX_CHUNK = 16_384
 # Relative slack on tree distances: the kd-tree rounds distances on its own,
 # so every radius it is asked for is widened by this factor and the d^2 that
 # decide are recomputed exactly as sum_j (q_j - x_j)^2.
@@ -294,11 +297,13 @@ class _EpanechnikovPrefix:
     def __init__(self, x_sorted: np.ndarray, y_sorted: np.ndarray):
         self.x = x_sorted
         self.center = 0.5 * (x_sorted[0] + x_sorted[-1])
-        u = x_sorted - self.center
-        u2 = u ** 2
         # prefix sums of y, u*y, u^2*y, u and u^2; a window's count is hi - lo
-        self.cums = [np.concatenate([[0.0], np.cumsum(terms)])
-                     for terms in (y_sorted, u * y_sorted, u2 * y_sorted, u, u2)]
+        self.cums = np.zeros((5, x_sorted.size + 1))
+        y, uy, u2y, u, u2 = terms = self.cums[:, 1:]
+        y[:] = y_sorted
+        np.multiply(np.subtract(x_sorted, self.center, out=u), y, out=uy)
+        np.multiply(np.multiply(u, u, out=u2), y, out=u2y)
+        np.cumsum(terms, axis=1, out=terms)
 
     def _placed(self, edges: np.ndarray, side: str) -> tuple[int, np.ndarray]:
         """Over ascending ``edges``: the number of points before the first

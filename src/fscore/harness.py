@@ -198,6 +198,9 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
     against the bound 2 exp(-2 N t^2), per (N, t) cell."""
     N_values = [_integer(n, "N_values", 1) for n in N_values]
     reps, seed = _integer(reps, "reps", 100), _integer(seed, "seed", 0)
+    t_values = [float(t) for t in t_values]
+    if not all(math.isfinite(t) and t > 0 for t in t_values):
+        raise ValueError(f"t_values must be finite and positive, got {t_values}")
     rng = np.random.default_rng(seed)
     rows = []
     sups = {}
@@ -210,7 +213,6 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
         sups[n] = devs
     for n in N_values:
         for t in t_values:
-            t = float(t)
             freq = float(np.mean(sups[n] >= t))
             bound = 2.0 * math.exp(-2.0 * n * t * t)
             se = math.sqrt(freq * (1.0 - freq) / reps)

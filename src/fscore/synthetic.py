@@ -151,74 +151,66 @@ def verify_strong_density(dist: AnalyticDistribution, n_scan: int = 50_000,
 # ---------------------------------------------------------------------------
 # Smooth one-dimensional family.
 
-@functools.cache
 def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
-                          slope: float = 0.6, x0: float = 0.5,
-                          grid_size: int = 1_000_000) -> AnalyticDistribution:
+                          slope: float = 0.6, x0: float = 0.5) -> AnalyticDistribution:
     """X ~ U[0,1] with eta crossing its own optimal threshold at x0 like
     sign(x - x0) |x - x0|^{1/alpha_target}, so the margin exponent is exactly
-    alpha_target.  The crossing level is solved so that it coincides with
-    theta* (a scalar fixed point, found by bracketing on the level).
-    Memoized, since each bracketing step solves on ``grid_size`` points:
-    equal arguments return the same family, whose ``extras`` are shared."""
+    alpha_target.  The crossing level c is solved so that it coincides with
+    theta* (b = 1): eta is a power clipped at 0 and 1, so E eta and
+    E(eta - c)_+ have closed forms and c is the root of c E eta - E(eta - c)_+,
+    found by bracketing.  The margin probabilities are exact as well."""
     if not (0.0 < beta <= 1.0):
         raise ConstructionError("smooth 1-d family supports beta in (0, 1]")
     if alpha_target <= 0 or slope <= 0 or not (0.0 < x0 < 1.0):
         raise ConstructionError("invalid smooth-family parameters")
     exponent = 1.0 / alpha_target
 
-    def eta_with_level(c, x_flat):
-        dx = x_flat - x0
-        return np.clip(c + slope * np.sign(dx) * np.abs(dx) ** exponent, 0.0, 1.0)
+    def clipped_power(cap, w):
+        # int_0^w min(slope t^exponent, cap) dt: the power reaches cap at t = m
+        m = min(w, (cap / slope) ** alpha_target)
+        return slope * m ** (exponent + 1.0) / (exponent + 1.0) + cap * (w - m)
 
-    def theta_of_level(c, k):
-        grid = (np.arange(k) + 0.5) / k
-        return solve_threshold(eta_with_level(c, grid))
-
-    def gap(c):
-        return theta_of_level(c, grid_size) - c
+    def equation(c):
+        # above x0 eta - c rises to the cap 1 - c; below x0 c - eta to c
+        upper = clipped_power(1.0 - c, 1.0 - x0)
+        return c * (c + upper - clipped_power(c, x0)) - upper
 
     lo, hi = 0.02, 0.49
-    if gap(lo) <= 0 or gap(hi) >= 0:
+    if equation(lo) >= 0 or equation(hi) <= 0:
         raise ConstructionError("could not bracket the crossing level")
-    level = brentq(gap, lo, hi, xtol=1e-10)
-    theta_star = float(level)
-    # Refinement check: doubling the grid must not move the solved threshold.
-    if abs(theta_of_level(level, 2 * grid_size) - theta_star) > 1e-6:
-        raise ConstructionError("threshold did not stabilize under refinement")
+    level = brentq(equation, lo, hi, xtol=1e-15)
+
+    def eta_flat(x_flat):
+        dx = x_flat - x0
+        return np.clip(level + slope * np.sign(dx) * np.abs(dx) ** exponent, 0.0, 1.0)
 
     def eta_fn(x):
-        return eta_with_level(level, np.asarray(x, dtype=float).reshape(-1))
-
-    def sampler(rng, n):
-        return rng.random(n)[:, None]
+        return eta_flat(np.asarray(x, dtype=float).reshape(-1))
 
     def discretizer(n_atoms, seed=0):
         grid = (np.arange(n_atoms) + 0.5) / n_atoms
         return DiscreteDistribution(support=grid[:, None],
                                     mass=np.full(n_atoms, 1.0 / n_atoms),
-                                    eta=eta_with_level(level, grid))
-
-    # Margin probabilities from a dense deterministic grid (exact up to the
-    # grid pitch, which is far below every tested delta).
-    _margin_grid = (np.arange(grid_size) + 0.5) / grid_size
-    _margin_gap = np.abs(eta_with_level(level, _margin_grid) - theta_star)
+                                    eta=eta_flat(grid))
 
     def margin_probabilities(deltas):
-        deltas = np.asarray(deltas, dtype=float)
-        return np.array([np.mean((_margin_gap > 1e-12) & (_margin_gap <= dl))
-                         for dl in deltas])
+        # each side holds |eta - c| <= delta up to t = (delta/slope)^alpha,
+        # or over its whole width w once delta reaches its cap
+        deltas = np.maximum(np.asarray(deltas, dtype=float), 0.0)
+        reach = (deltas / slope) ** alpha_target
+        return sum(np.where(deltas >= cap, w, np.minimum(w, reach))
+                   for cap, w in ((1.0 - level, 1.0 - x0), (level, x0)))
 
     family = AnalyticDistribution(
-        name="smooth_1d", d=1, eta=eta_fn, theta_star=theta_star,
-        sampler=sampler, discretizer=discretizer,
+        name="smooth_1d", d=1, eta=eta_fn, theta_star=level,
+        sampler=lambda rng, n: rng.random(n)[:, None], discretizer=discretizer,
         density=lambda x: np.where(
             (np.asarray(x, dtype=float).reshape(-1) >= 0)
             & (np.asarray(x, dtype=float).reshape(-1) <= 1), 1.0, 0.0),
         margin=MarginSpec(alpha=alpha_target, C0=2.0 * slope ** (-alpha_target)),
         smoothness=SmoothnessSpec(beta=min(beta, exponent, 1.0), L=slope),
         margin_probabilities=margin_probabilities,
-        extras={"level": float(level), "slope": slope, "x0": x0,
+        extras={"level": level, "slope": slope, "x0": x0,
                 "exponent": exponent},
     )
     report = verify_margin(family, 2.0 ** -np.arange(3, 10))

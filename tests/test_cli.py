@@ -92,6 +92,18 @@ def test_dkw_rejects_fractional_integers(tmp_path, capsys):
         assert json.loads(stdout)["rows"] == fs.run_dkw_check([50], [0.1], 100, seed=2)
 
 
+def test_dkw_rejects_nonpositive_or_nonfinite_t(tmp_path, capsys):
+    for raw in ("nan,-0.5", "0.1,-0.5", "inf", "0"):
+        code, stdout, stderr = run_cli(capsys, "dkw", "--t-values", raw,
+                                       "--n-values", "10", "--reps", "100",
+                                       "--format", "json",
+                                       "--out", str(tmp_path / "o"))
+        assert code == 2 and stdout == ""
+        record = json.loads(stderr)
+        assert record["error"] == "ValueError" and "t_values" in record["message"]
+    assert not list(tmp_path.glob("**/dkw.*"))
+
+
 def test_oracle_suite_subcommand(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "oracle-suite", "--trials", "20",
                               "--seed", "0", "--out", str(tmp_path / "f"))

@@ -206,7 +206,7 @@ def test_kernel_sweep_matches_binary_search(draw):
     q = sorted(draw.draw(st.lists(eighths | st.floats(-3.0, 9.0), min_size=1,
                                   max_size=200)))
     q = draw.draw(st.sampled_from([q, q[::-1], draw.draw(st.permutations(q))]))
-    chunk = draw.draw(st.sampled_from([1, 2, 5, 64, 65_536]))
+    chunk = draw.draw(st.sampled_from([1, 2, 5, 64, 16_384, 65_536]))
     data = LabeledDataset(points=np.array(x)[:, None], labels=y)
     queries = np.array(q)[:, None]
     est = fs.KernelEstimate(data, h)

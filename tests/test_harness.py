@@ -115,6 +115,15 @@ def test_dkw_checks_integer_inputs():
     assert type(rows[0]["N"]) is int
 
 
+def test_dkw_rejects_nonpositive_or_nonfinite_t():
+    # t = NaN wrote a bare NaN into the JSON report, and a t <= 0 row read
+    # as a violation of its bound
+    for t in (math.nan, math.inf, -0.5, 0.0):
+        with pytest.raises(ValueError, match="t_values"):
+            run_dkw_check([100], [0.1, t], reps=100)
+    assert run_dkw_check([100], ["0.1"], reps=100) == run_dkw_check([100], [0.1], reps=100)
+
+
 def test_emit_csv_round_trip(tmp_path):
     res = run_rate_experiment(ExperimentConfig(**SMALL))
     paths = emit_report(res, "csv", str(tmp_path))

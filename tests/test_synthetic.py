@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import fscore as fs
 from fscore.synthetic import bump_u, bump_v, smoothstep
@@ -37,9 +40,59 @@ def test_smooth_family_fixed_point():
     assert theta == pytest.approx(fam.theta_star, abs=1e-5)
 
 
-def test_smooth_family_built_once_per_arguments():
-    fam = fs.make_smooth_1d_family(beta=1.0, slope=0.6)
-    assert fs.make_smooth_1d_family(beta=1.0, slope=0.6) is fam
+def grid_smooth_family(alpha, slope, x0, k=1_000_000):
+    """Reference for the closed form: the level by brentq over the exact
+    threshold of a k-point midpoint grid, and margin probabilities read off
+    that grid, or None where the level cannot be bracketed."""
+    grid = (np.arange(k) + 0.5) / k
+    dx = grid - x0
+    rise = slope * np.sign(dx) * np.abs(dx) ** (1.0 / alpha)
+
+    def gap(c):
+        return fs.solve_threshold(np.clip(c + rise, 0.0, 1.0)) - c
+
+    if gap(0.02) <= 0 or gap(0.49) >= 0:
+        return None
+    level = brentq(gap, 0.02, 0.49, xtol=1e-10)
+    # no midpoint sits on x0, so every positive distance counts; a floor
+    # such as 1e-12 would drop the points where eta is flat at x0
+    dist = np.abs(np.clip(level + rise, 0.0, 1.0) - level)
+    return level, lambda deltas: np.array(
+        [np.mean((dist > 0) & (dist <= dl)) for dl in deltas])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("slope, x0", [(0.6, 0.5), (0.3, 0.5), (2.0, 0.3),
+                                       (1.5, 0.3)])
+def test_smooth_family_matches_grid_reference(alpha, slope, x0):
+    # (0.6, 0.5) clips eta at 0 for alpha >= 1; (2.0, 0.3) and (1.5, 0.3)
+    # clip it at 1
+    reference = grid_smooth_family(alpha, slope, x0)
+    if reference is None:
+        # at alpha = 2, (2.0, 0.3) puts the level above the bracket's 0.49
+        with pytest.raises(fs.ConstructionError, match="bracket"):
+            fs.make_smooth_1d_family(alpha_target=alpha, slope=slope, x0=x0)
+        return
+    level, grid_margin = reference
+    fam = fs.make_smooth_1d_family(alpha_target=alpha, slope=slope, x0=x0)
+    assert fam.theta_star == pytest.approx(level, abs=1e-9)
+    caps = np.array([fam.theta_star, 1.0 - fam.theta_star])
+    deltas = np.concatenate([[1e-3, 1e-2], caps * (1 - 1e-3), caps * (1 + 1e-3)])
+    np.testing.assert_allclose(fam.margin_probabilities(deltas),
+                               grid_margin(deltas), rtol=0, atol=2e-6)
+    # below both caps and both widths each side contributes (delta/slope)^alpha
+    assert fam.margin_probabilities(np.array([1e-4]))[0] == pytest.approx(
+        2 * (1e-4 / slope) ** alpha, rel=1e-12)
+
+
+def test_smooth_family_build_is_small():
+    tracemalloc.start()
+    try:
+        fs.make_smooth_1d_family(alpha_target=2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_smooth_family_margin_exponent_near_one():
