@@ -17,7 +17,8 @@ import numpy as np
 from .discrete import FBetaParams
 from .estimators import LabeledDataset
 from .harness import (ExperimentConfig, emit_report, run_dkw_check,
-                      run_rate_experiment, run_threshold_experiment)
+                      run_rate_experiment, run_threshold_experiment,
+                      strict_json)
 from .oracle import randomized_identity_suite
 from .plugin import (PluginClassifier, UnlabeledDataset, predictions_to_csv,
                      train_plugin)
@@ -83,6 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(record, file=None) -> None:
+    """Print ``record`` as strict JSON: a non-finite number prints as null."""
+    print(json.dumps(strict_json(record), indent=2, sort_keys=True,
+                     allow_nan=False), file=file)
+
+
 def _load_config(path) -> dict:
     if not path:
         return {}
@@ -144,7 +151,7 @@ def _run(args) -> int:
         paths = emit_report(result, args.format, args.out)
         summary = asdict(result)
         summary["written"] = paths
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        _print_json(summary)
         return 0
     if args.command == "dkw":
         cfg = _with_flags({**_DKW_DEFAULTS, **_load_config(args.config)}, args,
@@ -154,14 +161,13 @@ def _run(args) -> int:
                              _number_list(cfg["t_values"]),
                              _number(cfg["reps"]), seed=_number(cfg["seed"]))
         paths = emit_report(rows, args.format, args.out, stem="dkw")
-        print(json.dumps({"rows": rows, "written": paths}, indent=2,
-                         sort_keys=True))
+        _print_json({"rows": rows, "written": paths})
         return 0
     if args.command == "oracle-suite":
         report = randomized_identity_suite(args.trials, seed=args.seed,
                                            out_dir=args.out,
                                            raise_on_failure=False)
-        print(json.dumps({
+        _print_json({
             "trials": report.trials,
             "passes_optimality": report.passes_optimality,
             "passes_excess_identity": report.passes_excess_identity,
@@ -170,7 +176,7 @@ def _run(args) -> int:
             "median_error_large": report.median_error_large,
             "failures": len(report.failures),
             "ok": report.ok,
-        }, indent=2, sort_keys=True))
+        })
         return 0 if report.ok else 1
     if args.command == "train":
         labeled = LabeledDataset.from_csv(args.labeled)
@@ -181,18 +187,17 @@ def _run(args) -> int:
         clf = train_plugin(labeled, unlabeled, _parse_estimator(args.estimator),
                            FBetaParams(b=args.b))
         clf.save(args.out)
-        print(json.dumps({"theta_hat": clf.theta_hat,
-                          "provenance": clf.provenance,
-                          "model": args.out}, indent=2, sort_keys=True))
+        _print_json({"theta_hat": clf.theta_hat,
+                     "provenance": clf.provenance, "model": args.out})
         return 0
     if args.command == "predict":
         clf = PluginClassifier.load(args.model)
         points = UnlabeledDataset.from_csv(args.points)
         bits = clf.predict(points.points)
         predictions_to_csv(args.out, points.points, np.asarray(bits))
-        print(json.dumps({"n": points.n,
-                          "positives": int(np.asarray(bits).sum()),
-                          "out": args.out}, indent=2, sort_keys=True))
+        _print_json({"n": points.n,
+                     "positives": int(np.asarray(bits).sum()),
+                     "out": args.out})
         return 0
     raise ValueError(f"unknown command {args.command!r}")
 
@@ -204,7 +209,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI contract is a JSON
         record = {"error": type(exc).__name__, "message": str(exc),
                   "command": args.command}  # record on any failure
-        print(json.dumps(record, indent=2, sort_keys=True), file=sys.stderr)
+        _print_json(record, file=sys.stderr)
         return 2
 
 

@@ -63,6 +63,9 @@ class DiscreteDistribution:
         support = np.atleast_2d(np.array(self.support, dtype=float))
         mass = np.array(self.mass, dtype=float).ravel()
         eta = np.array(self.eta, dtype=float).ravel()
+        # first, as a NaN passes every comparison below
+        for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
+            require_finite(arr, name)
         if support.shape[0] != mass.size or mass.size != eta.size:
             raise ValueError("support, mass and eta must have equal length")
         if mass.size < 1:

@@ -20,7 +20,6 @@ from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .discrete import require_finite
 from .table import read_table, write_table
@@ -132,7 +131,10 @@ def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def _tree(points: np.ndarray) -> cKDTree:
+def _tree(points: np.ndarray):
+    # imported here, so that paths that build no tree never load scipy
+    from scipy.spatial import cKDTree
+
     # sliding-midpoint splits, the rule of Maneewongvatana & Mount
     return cKDTree(points, balanced_tree=False)
 
@@ -273,7 +275,9 @@ class KernelEstimate:
             vals = out[start:start + block.shape[0]]
             den, num = self._sums(block)
             ok = den > floor
-            np.divide(num, den, out=vals, where=ok)
+            # unmasked, which is faster; the ~ok entries are replaced below
+            with np.errstate(all="ignore"):
+                np.divide(num, den, out=vals)
             if not np.all(ok):
                 nearest = self._index.nearest(block[~ok], 1)[:, 0]
                 vals[~ok] = self._data.labels[nearest]

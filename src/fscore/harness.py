@@ -229,12 +229,25 @@ _FIT_COLUMNS = ("slope", "intercept", "slope_halfwidth", "theory_slope",
                 "excluded_cells", "inf_rate")
 
 
+def strict_json(obj):
+    """``obj`` with every non-finite float replaced by None, so that json
+    writes null where it would write a bare NaN, which is not JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [strict_json(v) for v in obj]
+    return obj
+
+
 def emit_report(result, fmt: str, out_dir: str, stem: str | None = None) -> list:
     """Write the result in the requested format; returns the written paths.
 
     ``result`` is a RateFitResult (csv: the per-n table and the fit row;
-    json; svg-plot) or a DKW table, a list of row dicts (csv; json).
-    Identical inputs produce byte-identical files.
+    json; svg-plot) or a DKW table, a list of row dicts (csv; json).  JSON
+    holds null for a non-finite number.  Identical inputs produce
+    byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
     rate = isinstance(result, RateFitResult)
@@ -245,7 +258,8 @@ def emit_report(result, fmt: str, out_dir: str, stem: str | None = None) -> list
     base = os.path.join(out_dir, stem or (f"{result.kind}_rate" if rate else "dkw"))
     if fmt == "json":
         with open(f"{base}.json", "w") as fh:
-            json.dump(asdict(result) if rate else rows, fh, indent=2, sort_keys=True)
+            json.dump(strict_json(asdict(result) if rate else rows), fh,
+                      indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return [f"{base}.json"]
     if fmt == "svg-plot":

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
 
 from .core import solve_threshold
 from .discrete import DiscreteDistribution
@@ -175,6 +173,8 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
         upper = clipped_power(1.0 - c, 1.0 - x0)
         return c * (c + upper - clipped_power(c, x0)) - upper
 
+    from scipy.optimize import brentq
+
     lo, hi = 0.02, 0.49
     if equation(lo) >= 0 or equation(hi) <= 0:
         raise ConstructionError("could not bracket the crossing level")
@@ -306,6 +306,9 @@ class HardFamilyParams:
 
 
 def _ball_volume(d: int, r: float) -> float:
+    # scipy's gamma, not math.gamma: the two differ in the last bit at odd d
+    from scipy.special import gamma as gamma_fn
+
     return math.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0) * r ** d
 
 

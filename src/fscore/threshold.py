@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import ROOT_RESIDUAL_TOL, solve_threshold
 from .discrete import FBetaParams, require_finite
@@ -96,6 +95,8 @@ def cdf_gap_bound(true_eta_cdf, sample: ScoreSample, p_y1: float,
             mid = 0.5 * (lo + hi)
             total += abs(float(true_eta_cdf(mid)) - float(emp(mid))) * (hi - lo)
         return total / p_y1
+    from scipy.integrate import quad
+
     knots = np.unique(np.concatenate([sample.values, [0.0, 1.0]]))
     knots = knots[(knots >= 0.0) & (knots <= 1.0)]
     total = 0.0

@@ -1,6 +1,13 @@
+import ast
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import fscore as fs
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 REMOVED = ("RegressionEstimate", "SuiteReport", "DensitySpec", "compute_bprime")
 
@@ -13,3 +20,49 @@ def test_all_lists_exactly_the_public_names():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(fs.__all__) == public
     assert not public & set(REMOVED)
+
+
+def _scipy_modules_after(code: str, tmp_path) -> list:
+    """Names of the scipy modules loaded once ``code`` has run in a fresh
+    interpreter, so that no earlier import in this process counts."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules " \
+                   "if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after("import fscore", tmp_path) == []
+
+
+def test_default_train_predict_loads_no_scipy(tmp_path):
+    # the 1-d kernel sweeps prefix sums and builds no tree unless a window
+    # is empty; with h = n^{-1/3} on [0, 1] none is
+    code = """
+import numpy as np
+from fscore import LabeledDataset
+from fscore.cli import main
+from fscore.plugin import UnlabeledDataset
+rng = np.random.default_rng(0)
+x = rng.random((300, 1))
+LabeledDataset(points=x, labels=rng.random(300) < x[:, 0]).to_csv("lab.csv")
+UnlabeledDataset(points=rng.random((400, 1))).to_csv("unl.csv")
+assert main(["train", "--labeled", "lab.csv", "--unlabeled", "unl.csv",
+             "--out", "model"]) == 0
+assert main(["predict", "--model", "model", "--points", "unl.csv",
+             "--out", "preds.csv"]) == 0
+"""
+    assert _scipy_modules_after(code, tmp_path) == []
+    assert len((tmp_path / "preds.csv").read_text().splitlines()) == 401
+
+
+def test_knn_loads_scipy_spatial(tmp_path):
+    code = """
+import numpy as np
+from fscore import KNNEstimate, LabeledDataset
+KNNEstimate(LabeledDataset(points=np.eye(3), labels=[0, 1, 1]), k=1)
+"""
+    assert "scipy.spatial" in _scipy_modules_after(code, tmp_path)

@@ -171,3 +171,22 @@ def test_same_seed_byte_identical(tmp_path, capsys):
     a = (tmp_path / "r1" / "dkw.csv").read_bytes()
     b = (tmp_path / "r2" / "dkw.csv").read_bytes()
     assert a == b
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_rate_report_and_summary_are_strict_json(tmp_path, capsys):
+    # the constant family has zero excess, so the fit has no two positive
+    # means and slope, intercept and slope_halfwidth are NaN
+    code, stdout, _ = run_cli(capsys, "rate", "--family", "constant",
+                              "--n-grid", "100,200", "--reps", "3",
+                              "--format", "json", "--out", str(tmp_path))
+    assert code == 0
+    summary = json.loads(stdout, parse_constant=_reject_constant)
+    with open(tmp_path / "excess_rate.json") as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    for record in (summary, report):
+        assert record["slope"] is None and record["intercept"] is None
+        assert record["slope_halfwidth"] is None

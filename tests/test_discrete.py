@@ -22,6 +22,26 @@ def test_length_mismatch_rejected():
                                 mass=np.array([1.0]), eta=np.array([0.5]))
 
 
+def test_nonfinite_inputs_rejected_by_field_and_row():
+    # a NaN passes every comparison check: a NaN mass or eta gave a NaN
+    # P(Y=1), and a support point at inf was accepted
+    base = dict(support=np.array([[0.0], [1.0]]), mass=np.array([0.5, 0.5]),
+                eta=np.array([0.2, 0.8]))
+    for field, bad in (("support", np.array([[0.0], [np.inf]])),
+                       ("support", np.array([[0.0], [np.nan]])),
+                       ("mass", np.array([0.5, np.nan])),
+                       ("eta", np.array([0.2, np.nan]))):
+        with pytest.raises(ValueError, match=f"^{field}: row 1 is not finite"):
+            fs.DiscreteDistribution(**{**base, field: bad})
+
+
+def test_from_csv_rejects_nan(tmp_path):
+    path = tmp_path / "dist.csv"
+    path.write_text("x_1,mass,eta\r\n0.0,0.5,0.2\r\n1.0,0.5,nan\r\n")
+    with pytest.raises(ValueError, match="^eta: row 1 is not finite"):
+        fs.DiscreteDistribution.from_csv(path)
+
+
 def test_p_y1():
     d = fs.DiscreteDistribution(support=np.array([[0.0], [1.0]]),
                                 mass=np.array([0.25, 0.75]),

@@ -136,7 +136,7 @@ def test_emit_json_and_svg(tmp_path):
     (json_path,) = emit_report(res, "json", str(tmp_path))
     record = json.loads(open(json_path).read())
     assert record["slope"] == res.slope or (
-        math.isnan(record["slope"]) and math.isnan(res.slope))
+        record["slope"] is None and math.isnan(res.slope))
     (svg_path,) = emit_report(res, "svg-plot", str(tmp_path))
     text = open(svg_path).read()
     assert text.startswith("<svg") and "circle" in text
