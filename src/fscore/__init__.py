@@ -7,8 +7,7 @@ for convergence-rate experiments.
 """
 
 from .core import (bayes_classifier, bayes_threshold, excess_fbeta,
-                   population_fbeta, solve_threshold, solve_threshold_bisect,
-                   threshold_equation)
+                   population_fbeta, solve_threshold, threshold_equation)
 from .discrete import (DiscreteDistribution, FBetaParams, as_bits,
                        random_distribution, uniform_eta_grid)
 from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
@@ -18,7 +17,8 @@ from .harness import (ExperimentConfig, RateFitResult, build_family,
                       emit_report, run_dkw_check, run_rate_experiment,
                       run_threshold_experiment)
 from .oracle import (OracleSizeError, OracleSuiteFailure, brute_force_optimum,
-                     randomized_identity_suite, scan_threshold)
+                     randomized_identity_suite, scan_threshold,
+                     solve_threshold_bisect)
 from .plugin import (PluginClassifier, TrainingDegenerate, UnlabeledDataset,
                      train_plugin)
 from .synthetic import (AnalyticDistribution, ConstructionError,

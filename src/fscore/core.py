@@ -5,8 +5,8 @@ The optimal threshold theta* is the unique root of
     theta -> b^2 * theta * P(Y=1) - E(eta(X) - theta)_+
 
 on [0, 1/(1+b^2)].  Both sides are piecewise linear in theta for a discrete
-law, so the root is computed exactly by sorting the eta values; a bisection
-fallback is kept for cross-checking.
+law, so the root is computed exactly by sorting the eta values.  The
+independent bisection route lives in ``oracle``.
 """
 
 from __future__ import annotations
@@ -41,56 +41,89 @@ def solve_threshold(values, weights=None, b: float = 1.0) -> float:
 
     O(K log K): between consecutive sorted values the equation is linear, so
     each segment yields a closed-form candidate which is accepted iff it lies
-    inside the segment.  Without ``weights`` every value weighs 1/K; the
-    values are then sorted with ``np.sort`` and the active counts K - j stand
-    in for the weights.  Every sum is taken after sorting, so the uniform
-    root is a bitwise function of the multiset of values.  Returns 0.0 for the
-    degenerate all-zero case (every theta solves the equation there; see
-    package notes).
+    inside the segment.  Without ``weights`` every value weighs 1/K; values
+    that are already ascending are used as they are, others are sorted with
+    ``np.sort``, and the active counts K - j stand in for the weights.  Every
+    sum is taken after sorting, so the uniform root is a bitwise function of
+    the multiset of values.  Returns 0.0 for the degenerate all-zero case
+    (every theta solves the equation there; see package notes).
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("empty value sequence")
     if weights is None:
-        v = np.sort(values)
-        active = None
-        tail = _suffix_sums(v)
+        v = values if _ascending(values) else np.sort(values)
+        w = None
     else:
         weights = np.asarray(weights, dtype=float).ravel()
         order = np.argsort(values)
         v = values[order]
         w = weights[order]
-        active = _suffix_sums(w)
-        tail = _suffix_sums(w * v)
-    if tail[0] <= 0.0:
-        return 0.0
-    return _segment_scan(v, tail, active, b * b)
+    return _segment_scan(v, w, b * b)
 
 
-def _suffix_sums(x: np.ndarray) -> np.ndarray:
-    """out[j] = sum_{i >= j} x[i], accumulated from the largest index."""
-    return np.cumsum(x[::-1])[::-1]
+def _ascending(v: np.ndarray) -> bool:
+    """v[i] <= v[i + 1] for every i, checked one _SCAN_CHUNK at a time."""
+    for start in range(0, v.size, _SCAN_CHUNK):
+        block = v[start:start + _SCAN_CHUNK + 1]
+        if not (block[:-1] <= block[1:]).all():
+            return False
+    return True
 
 
-def _segment_scan(v, tail, active, b2: float) -> float:
+def _segment_scan(v, w, b2: float) -> float:
     """First admissible segment root, scanned in chunks of _SCAN_CHUNK.
 
-    Segment j spans (v[j-1], v[j]) (with v[-1] read as 0) and its active set
-    is {i >= j}, of weight ``active[j]`` (K - j when ``active`` is None) and
-    weighted value sum ``tail[j]``; the candidate tail[j] / (b^2 s + active[j])
-    overwrites ``tail[j]``.  The segment above the largest value is never the
-    first admissible one when s > 0, so it is not scanned.
+    Segment j spans (v[j-1], v[j]) (with v[-1] read as 0).  Its active set
+    {i >= j} has weight active[j] = sum_{i >= j} w[i] (K - j when ``w`` is
+    None) and weighted value sum tail[j] = sum_{i >= j} w[i] v[i] (with w[i]
+    read as 1 when ``w`` is None); its candidate is
+    tail[j] / (b^2 s + active[j]) with s = tail[0].  The segment above the
+    largest value is never the first admissible one when s > 0, so it is not
+    scanned; s <= 0 returns 0.0.
+
+    The suffix sums are formed one chunk at a time above a carry, the sums at
+    the chunk's upper end, which a first pass from the top keeps at every
+    chunk boundary.  Both passes add one term at a time from the largest
+    index, as np.cumsum(x[::-1])[::-1] does, so the sums are the same bits.
     """
     k = v.size
-    b2s = b2 * float(tail[0])
-    for start in range(0, k, _SCAN_CHUNK):
+    starts = range(0, k, _SCAN_CHUNK)
+    # row 0 forms tail, row 1 active; column 0 holds the carry
+    buf = np.empty((1 if w is None else 2, min(k, _SCAN_CHUNK) + 1))
+
+    def suffix_sums(start, carry):
         stop = min(start + _SCAN_CHUNK, k)
-        cand = tail[start:stop]
-        if active is None:
+        m = stop - start
+        part = buf[:, :m + 1]
+        part[:, 0] = carry
+        if w is None:
+            part[0, m:0:-1] = v[start:stop]
+        else:
+            np.multiply(w[start:stop], v[start:stop], out=part[0, m:0:-1])
+            part[1, m:0:-1] = w[start:stop]
+        np.cumsum(part, axis=1, out=part)
+        return part[:, m:0:-1]
+
+    # carries[c]: the sums at starts[c]; -0.0 + x == x for every x, so the
+    # carry above the top chunk adds nothing, as np.cumsum's first term
+    carries = [np.full(buf.shape[0], -0.0)]
+    for start in reversed(starts):
+        carries.append(suffix_sums(start, carries[-1])[:, 0].copy())
+    carries.reverse()
+    s = float(carries[0][0])
+    if s <= 0.0:
+        return 0.0
+    b2s = b2 * s
+    for c, start in enumerate(starts):
+        sums = suffix_sums(start, carries[c + 1])
+        stop = start + sums.shape[1]
+        cand = sums[0]
+        if w is None:
             den = np.arange(k - start, k - stop, -1, dtype=float)
             den += b2s
         else:
-            den = b2s + active[start:stop]
+            den = b2s + sums[1]
         # den can underflow to 0 on an empty active set for subnormal s; the
         # inf or nan candidate is then not admissible
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -103,32 +136,6 @@ def _segment_scan(v, tail, active, b2: float) -> float:
             return min(max(theta, 0.0), 1.0 / (1.0 + b2))
     # should not happen: the equation always has a root
     raise ArithmeticError("threshold solver found no admissible segment")
-
-
-def solve_threshold_bisect(values, weights, b: float = 1.0, tol: float = 1e-12) -> float:
-    """Bisection solver for the same root, kept as an independent route."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    values = np.asarray(values, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
-    s = float(weights @ values)
-    if s <= 0.0:
-        return 0.0
-    b2 = b * b
-
-    def g(theta):
-        return b2 * theta * s - float(weights @ np.clip(values - theta, 0.0, None))
-
-    lo, hi = 0.0, 1.0 / (1.0 + b2)
-    if g(hi) < 0:  # root sits exactly at the cap up to rounding
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def population_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParams()) -> float:

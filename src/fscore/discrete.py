@@ -25,6 +25,26 @@ def require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name}: row {int(np.argmin(rows))} is not finite")
 
 
+def frozen_array(values, ndim: int) -> np.ndarray:
+    """``values`` as a read-only float64 array, raveled (``ndim`` 1) or at
+    least two-dimensional (``ndim`` 2).
+
+    An input that already is a read-only, C-contiguous float64 ndarray with
+    ``ndim`` dimensions is returned as it is: whoever froze it will not write
+    to it.  Any other input becomes a frozen copy, so that freezing it leaves
+    the caller's array writeable.  Nothing is checked here; callers check the
+    values either way.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.ndim == ndim and not values.flags.writeable
+            and values.flags.c_contiguous):
+        return values
+    arr = np.array(values, dtype=float)
+    arr = arr.ravel() if ndim == 1 else np.atleast_2d(arr)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FBetaParams:
     """Trade-off parameter of the F_b score.
@@ -59,10 +79,9 @@ class DiscreteDistribution:
     eta: np.ndarray      # (K,)
 
     def __post_init__(self):
-        # copies, so that freezing them leaves the caller's arrays writeable
-        support = np.atleast_2d(np.array(self.support, dtype=float))
-        mass = np.array(self.mass, dtype=float).ravel()
-        eta = np.array(self.eta, dtype=float).ravel()
+        support = frozen_array(self.support, 2)
+        mass = frozen_array(self.mass, 1)
+        eta = frozen_array(self.eta, 1)
         # first, as a NaN passes every comparison below
         for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
             require_finite(arr, name)
@@ -79,7 +98,6 @@ class DiscreteDistribution:
         if float(mass @ eta) <= 0:
             raise ValueError("P(Y=1) must be positive")
         for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property

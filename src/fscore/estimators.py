@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import require_finite
+from .discrete import frozen_array, require_finite
 from .table import read_table, write_table
 
 _CHUNK = 512  # queries per block of window pairs
@@ -42,16 +42,13 @@ class LabeledDataset:
     labels: np.ndarray  # (n,) in {0, 1}
 
     def __post_init__(self):
-        # copies, so that freezing them leaves the caller's arrays writeable
-        points = np.atleast_2d(np.array(self.points, dtype=float))
-        labels = np.array(self.labels, dtype=float).ravel()
+        points = frozen_array(self.points, 2)
+        labels = frozen_array(self.labels, 1)
         if points.shape[0] != labels.size or labels.size == 0:
             raise ValueError("points and labels must be nonempty and equal length")
         require_finite(points, "labeled dataset")
         if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be binary")
-        points.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
 

@@ -115,6 +115,8 @@ def _unlabeled_draw(family, rng, big_n) -> UnlabeledDataset:
         # free; the 1-d kernel sweeps sorted queries as they come and argsorts
         # any other block first
         x.sort(axis=0)
+    # frozen, so that UnlabeledDataset holds the draw without a copy
+    x.setflags(write=False)
     return UnlabeledDataset(points=x)
 
 

@@ -1,7 +1,8 @@
 """Brute-force ground truth on small instances.
 
 Exhaustive classifier enumeration, an independent dense-grid threshold scan,
-and a randomized identity suite cross-checking the exact solvers.
+a bisection threshold solver, and a randomized identity suite cross-checking
+the exact solvers.
 """
 
 from __future__ import annotations
@@ -87,6 +88,33 @@ def scan_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParams
         else:
             hi = mid
     return float(0.5 * (lo + hi))
+
+
+def solve_threshold_bisect(values, weights, b: float = 1.0, tol: float = 1e-12) -> float:
+    """Bisection solver for the same root, an independent cross-check of
+    ``core.solve_threshold``."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    values = np.asarray(values, dtype=float).ravel()
+    weights = np.asarray(weights, dtype=float).ravel()
+    s = float(weights @ values)
+    if s <= 0.0:
+        return 0.0
+    b2 = b * b
+
+    def g(theta):
+        return b2 * theta * s - float(weights @ np.clip(values - theta, 0.0, None))
+
+    lo, hi = 0.0, 1.0 / (1.0 + b2)
+    if g(hi) < 0:  # root sits exactly at the cap up to rounding
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import FBetaParams, require_finite
+from .discrete import FBetaParams, frozen_array, require_finite
 from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
                          LocalPolyEstimate, fit_from_config)
 from .table import read_table, write_table
@@ -29,13 +29,11 @@ class UnlabeledDataset:
     points: np.ndarray  # (N, d); may be empty
 
     def __post_init__(self):
-        # a copy, so that freezing it leaves the caller's array writeable
-        points = np.array(self.points, dtype=float)
-        if points.size == 0:
-            points = points.reshape(0, points.shape[1] if points.ndim == 2 else 1)
-        points = np.atleast_2d(points)
+        points = self.points
+        if np.size(points) == 0:
+            points = np.empty((0, np.shape(points)[1] if np.ndim(points) == 2 else 1))
+        points = frozen_array(points, 2)
         require_finite(points, "unlabeled dataset")
-        points.setflags(write=False)
         object.__setattr__(self, "points", points)
 
     @property
@@ -115,9 +113,12 @@ def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
     if unlabeled.d != labeled.d:
         raise ValueError("labeled/unlabeled dimension mismatch")
     eta_hat = fit_from_config(labeled, estimator_config)
-    # no name for the scores: ScoreSample keeps its own copy
-    theta_hat = empirical_threshold(
-        ScoreSample(values=eta_hat.evaluate(unlabeled.points)), params)
+    scores = eta_hat.evaluate(unlabeled.points)
+    # theta_hat depends only on the multiset of scores: sorted in place and
+    # frozen, they are held by ScoreSample and solved without another copy
+    scores.sort()
+    scores.setflags(write=False)
+    theta_hat = empirical_threshold(ScoreSample(values=scores), params)
     provenance = {
         "n": labeled.n,
         "N": unlabeled.n,

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ROOT_RESIDUAL_TOL, solve_threshold
-from .discrete import FBetaParams, require_finite
+from .core import _SCAN_CHUNK, ROOT_RESIDUAL_TOL, solve_threshold
+from .discrete import FBetaParams, frozen_array, require_finite
 
 
 class DegenerateScoreSample(UserWarning):
@@ -27,14 +27,12 @@ class ScoreSample:
     values: np.ndarray
 
     def __post_init__(self):
-        # a copy, so that freezing it leaves the caller's array writeable
-        values = np.array(self.values, dtype=float).ravel()
+        values = frozen_array(self.values, 1)
         if values.size == 0:
             raise ValueError("score sample must be nonempty")
         require_finite(values, "score sample")
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("scores must lie in [0, 1]")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
@@ -53,9 +51,11 @@ def empirical_threshold(sample: ScoreSample,
                       DegenerateScoreSample)
         return 0.0
     theta = solve_threshold(values, b=params.b)
-    active = values - theta
-    np.maximum(active, 0.0, out=active)
-    residual = params.b2 * theta * mean - float(active.mean())
+    positive = 0.0  # sum of (s - theta)_+, one chunk at a time
+    for start in range(0, values.size, _SCAN_CHUNK):
+        part = values[start:start + _SCAN_CHUNK] - theta
+        positive += float(np.maximum(part, 0.0, out=part).sum())
+    residual = params.b2 * theta * mean - positive / values.size
     # b^2 + 1 bounds the slope of the equation
     limit = (params.b2 + 1.0) * ROOT_RESIDUAL_TOL
     if abs(residual) > limit + 1e-12:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fscore as fs
+from fscore.core import _SCAN_CHUNK, _SEGMENT_SLACK
 
 
 def two_point():
@@ -119,6 +120,63 @@ def test_uniform_route_matches_weighted_and_bisect(b):
                                       abs=1e-12)
         assert theta == pytest.approx(
             fs.solve_threshold_bisect(values, weights, b, tol=1e-13), abs=1e-11)
+
+
+def whole_array_scan(values, weights, b):
+    """The segment scan over whole-array suffix sums: sort, take
+    np.cumsum(x[::-1])[::-1] of the (weighted) values and the weights, form
+    every candidate and return the first admissible one."""
+    if weights is None:
+        v = np.sort(values)
+        active = np.arange(v.size, 0, -1, dtype=float)
+        tail = np.cumsum(v[::-1])[::-1]
+    else:
+        order = np.argsort(values)
+        v, w = values[order], weights[order]
+        active = np.cumsum(w[::-1])[::-1]
+        tail = np.cumsum((w * v)[::-1])[::-1]
+    if tail[0] <= 0.0:
+        return 0.0
+    b2 = b * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cand = tail / (b2 * tail[0] + active)
+    lower = np.concatenate(([0.0], v[:-1]))
+    ok = (cand <= v + _SEGMENT_SLACK) & (cand >= lower - _SEGMENT_SLACK)
+    assert ok.any()
+    return min(max(float(cand[np.argmax(ok)]), 0.0), 1.0 / (1.0 + b2))
+
+
+def chunk_edge_cases():
+    rng = np.random.default_rng(31)
+    for size in (1, _SCAN_CHUNK - 1, _SCAN_CHUNK, _SCAN_CHUNK + 1, 3 * _SCAN_CHUNK + 1):
+        many_zeros = rng.random(size)
+        many_zeros[rng.random(size) < 0.9] = 0.0
+        for kind, raw in (("random", rng.random(size)),
+                          ("ties", rng.integers(0, 5, size) / 4.0),
+                          ("many zeros", many_zeros),
+                          ("all zeros", np.zeros(size))):
+            weights = rng.random(size)
+            # sorted per chunk, the values descend at the chunk edges
+            per_chunk = np.concatenate([np.sort(raw[i:i + _SCAN_CHUNK])
+                                        for i in range(0, size, _SCAN_CHUNK)])
+            for order, ordered in (("unsorted", raw), ("sorted", np.sort(raw)),
+                                   ("sorted per chunk", per_chunk)):
+                for frozen in (False, True):
+                    values = ordered.copy()
+                    values.setflags(write=not frozen)
+                    yield f"{size} {kind} {order} frozen={frozen}", values, weights
+
+
+def test_chunked_scan_matches_whole_array_scan():
+    # the suffix sums are formed per chunk above carries from a first pass,
+    # and must give the bits of the whole-array sums on every route
+    for label, values, weights in chunk_edge_cases():
+        before = values.copy()
+        for w in (None, weights):
+            got = fs.solve_threshold(values, w, 2.0)
+            want = whole_array_scan(values, w, 2.0)
+            assert got == want and np.signbit(got) == np.signbit(want), label
+        np.testing.assert_array_equal(values, before, err_msg=label)
 
 
 @settings(max_examples=100, deadline=None)

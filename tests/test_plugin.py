@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,19 +95,62 @@ def test_dimension_mismatch_rejected():
 def test_datasets_copy_the_callers_arrays():
     points, labels = np.array([[0.1], [0.2]]), np.array([0.0, 1.0])
     mass, eta = np.array([0.5, 0.5]), np.array([0.3, 0.6])
-    labeled = LabeledDataset(points=points, labels=labels)
-    unlabeled = fs.UnlabeledDataset(points=points)
-    dist = fs.DiscreteDistribution(support=points, mass=mass, eta=eta)
-    scores = fs.ScoreSample(values=eta)
+
+    def build(points, labels, mass, eta):
+        return (LabeledDataset(points=points, labels=labels),
+                fs.UnlabeledDataset(points=points),
+                fs.DiscreteDistribution(support=points, mass=mass, eta=eta),
+                fs.ScoreSample(values=eta))
+
+    labeled, unlabeled, dist, scores = build(points, labels, mass, eta)
     callers = (points, labels, mass, eta)
     held = (labeled.points, labeled.labels, unlabeled.points, dist.support,
             dist.mass, dist.eta, scores.values)
     assert all(a.flags.writeable for a in callers)
     assert not any(a.flags.writeable for a in held)
+    assert not any(np.shares_memory(a, b) for a in callers for b in held)
     points[0, 0], labels[0], mass[0], eta[0] = 0.9, 1.0, 0.9, 0.9
     assert labeled.points[0, 0] == 0.1 and labeled.labels[0] == 0.0
     assert unlabeled.points[0, 0] == 0.1 and dist.support[0, 0] == 0.1
     assert dist.mass[0] == 0.5 and dist.eta[0] == 0.3 and scores.values[0] == 0.3
+    # read-only float64 arrays of the right shape are held as they are
+    points[0, 0], labels[0], mass[0], eta[0] = 0.1, 0.0, 0.5, 0.3
+    for a in callers:
+        a.setflags(write=False)
+    labeled, unlabeled, dist, scores = build(points, labels, mass, eta)
+    assert labeled.points is points and labeled.labels is labels
+    assert unlabeled.points is points and dist.support is points
+    assert dist.mass is mass and dist.eta is eta and scores.values is eta
+    # and checked all the same: a frozen non-finite input names its row
+    bad_points, bad_values = np.array([[0.1], [np.nan]]), np.array([0.1, np.inf])
+    bad_points.setflags(write=False)
+    bad_values.setflags(write=False)
+    for make, message in (
+            (lambda: LabeledDataset(points=bad_points, labels=labels),
+             "labeled dataset: row 1"),
+            (lambda: fs.UnlabeledDataset(points=bad_points), "unlabeled dataset: row 1"),
+            (lambda: fs.DiscreteDistribution(support=points, mass=mass, eta=bad_values),
+             "eta: row 1"),
+            (lambda: fs.ScoreSample(values=bad_values), "score sample: row 1")):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_train_plugin_memory_bounded():
+    # frozen points are held without a copy and the scores are sorted in
+    # place, so the scores are the one N-sized array train_plugin adds
+    rng = np.random.default_rng(5)
+    x = rng.random((2000, 1))
+    labeled = LabeledDataset(points=x, labels=(rng.random(2000) < 0.2 + 0.6 * x[:, 0]))
+    points = np.sort(rng.random(2 ** 20))[:, None]
+    points.setflags(write=False)
+    tracemalloc.start()
+    try:
+        fs.train_plugin(labeled, fs.UnlabeledDataset(points=points), {"method": "kernel"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * points.nbytes
 
 
 def test_predictions_csv(tmp_path):
