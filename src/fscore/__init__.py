@@ -14,8 +14,8 @@ from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
                          LocalPolyEstimate, SmoothnessSpec, default_bandwidth,
                          fit_from_config)
 from .harness import (ExperimentConfig, RateFitResult, build_family,
-                      emit_report, run_dkw_check, run_rate_experiment,
-                      run_threshold_experiment)
+                      emit_report, run_dkw_check, run_experiment,
+                      run_rate_experiment)
 from .oracle import (OracleSizeError, OracleSuiteFailure, brute_force_optimum,
                      randomized_identity_suite, scan_threshold,
                      solve_threshold_bisect)
@@ -45,7 +45,7 @@ __all__ = [
     "hard_family_mean_eta", "hard_family_rate_params", "make_constant_family",
     "make_smooth_1d_family", "make_two_point_family", "population_fbeta",
     "randomized_identity_suite", "random_distribution", "run_dkw_check",
-    "run_rate_experiment", "run_threshold_experiment", "sample",
+    "run_experiment", "run_rate_experiment", "sample",
     "scan_threshold", "solve_threshold", "solve_threshold_bisect",
     "threshold_equation", "train_plugin", "uniform_eta_grid", "verify_margin",
     "verify_strong_density",

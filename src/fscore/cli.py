@@ -17,8 +17,7 @@ import numpy as np
 from .discrete import FBetaParams
 from .estimators import LabeledDataset
 from .harness import (ExperimentConfig, emit_report, run_dkw_check,
-                      run_rate_experiment, run_threshold_experiment,
-                      strict_json)
+                      run_experiment, strict_json)
 from .oracle import randomized_identity_suite
 from .plugin import (PluginClassifier, UnlabeledDataset, predictions_to_csv,
                      train_plugin)
@@ -145,9 +144,7 @@ def _experiment_config(args) -> ExperimentConfig:
 def _run(args) -> int:
     if args.command in ("rate", "threshold"):
         cfg = _experiment_config(args)
-        runner = run_rate_experiment if args.command == "rate" \
-            else run_threshold_experiment
-        result = runner(cfg)
+        result = run_experiment(cfg)[0 if args.command == "rate" else 1]
         paths = emit_report(result, args.format, args.out)
         summary = asdict(result)
         summary["written"] = paths

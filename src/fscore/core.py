@@ -155,7 +155,7 @@ def bayes_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParam
         raise ValueError("P(Y=1) must be positive for the optimal threshold")
     theta = solve_threshold(dist.eta, dist.mass, params.b)
     residual = threshold_equation(theta, dist.eta, dist.mass, params.b)
-    if abs(float(residual)) > ROOT_RESIDUAL_TOL:
+    if not abs(float(residual)) <= ROOT_RESIDUAL_TOL:  # a NaN fails too
         raise ArithmeticError(f"threshold residual {float(residual)!r} exceeds tolerance")
     return theta
 

@@ -7,6 +7,7 @@ substrate for all exact population-level computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class FBetaParams:
     normalized: bool = True
 
     def __post_init__(self):
-        if not (self.b > 0):
-            raise ValueError(f"b must be positive, got {self.b}")
+        # b * b too must be finite: b = inf or 1e200 gave a score cap of 0
+        if not (self.b > 0 and math.isfinite(float(self.b) * float(self.b))):
+            raise ValueError(f"b must be positive with a finite square, got {self.b}")
 
     @property
     def b2(self) -> float:

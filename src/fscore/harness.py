@@ -1,9 +1,10 @@
 """Monte Carlo experiment orchestration.
 
-Rate experiments train the plug-in classifier on growing labeled samples and
-fit the log-log slope of the excess score (or of the threshold error) against
-the theoretical exponent; a sup-CDF concentration table and deterministic
-report emission (CSV / JSON / SVG) round out the harness.
+Rate experiments train the plug-in classifier on growing labeled samples.
+One pass over the replicates gives both curves: the excess score and the
+threshold error, each with the log-log slope fitted against its theoretical
+exponent.  A sup-CDF concentration table and deterministic report emission
+(CSV / JSON / SVG) round out the harness.
 
 Seeding: every (n-index, replication) cell owns the stream
 ``default_rng(seed + 1_000_003 * n_index + rep)``, and aggregation happens in
@@ -51,7 +52,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         for name, least in (("reps", 1), ("seed", 0), ("oracle_atoms", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, least))
-        FBetaParams(b=self.b)  # b must be positive
+        FBetaParams(b=self.b)  # b must be positive, with b * b finite
         rule = self.n_rule
         fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
         if rule not in ("n", "n2") and not (fixed and rule >= 1):
@@ -137,37 +138,44 @@ def _replicate(family, oracle, cfg, n, rep_seed):
     }
 
 
-def _run_experiment(cfg: ExperimentConfig, statistic: str) -> RateFitResult:
+def run_experiment(cfg: ExperimentConfig) -> tuple[RateFitResult, RateFitResult]:
+    """Excess-score and |theta_hat - theta*| decay across the n grid, both
+    from one pass: every replicate's fit gives a value to each curve."""
     family = build_family(cfg)
     oracle = _Oracle(family, cfg.oracle_atoms, cfg.b)
-    rows = []
+    excess_rows, threshold_rows = [], []
     for n_index, n in enumerate(cfg.n_grid):
         seeds = [cfg.seed + _CELL_SEED_STRIDE * n_index + rep
                  for rep in range(cfg.reps)]
         results = [_replicate(family, oracle, cfg, n, s) for s in seeds]
-        values = np.array([r[statistic] for r in results if r is not None])
-        if values.size == 0:
+        valid = [r for r in results if r is not None]
+        if not valid:
             raise RuntimeError(f"all replications degenerate at n={n}")
-        rows.append({
-            "n": n,
-            "N": cfg.unlabeled_size(n),
-            "reps_valid": int(values.size),
-            "mean": float(values.mean()),
-            "se": float(values.std(ddof=1) / math.sqrt(values.size))
-            if values.size > 1 else 0.0,
-            "median": float(np.median(values)),
-            "zero_fraction": float(np.mean(values <= 1e-12)),
-        })
+        for statistic, rows in (("excess", excess_rows), ("theta_err", threshold_rows)):
+            values = np.array([r[statistic] for r in valid])
+            rows.append({
+                "n": n,
+                "N": cfg.unlabeled_size(n),
+                "reps_valid": int(values.size),
+                "mean": float(values.mean()),
+                "se": float(values.std(ddof=1) / math.sqrt(values.size))
+                if values.size > 1 else 0.0,
+                "median": float(np.median(values)),
+                "zero_fraction": float(np.mean(values <= 1e-12)),
+            })
     alpha = family.margin.alpha if family.margin is not None else None
     beta = family.smoothness.beta if family.smoothness is not None else 1.0
     denom = 2.0 * beta + family.d
-    if statistic == "excess":
-        theory = None if alpha is None or math.isinf(alpha) \
-            else -(1.0 + alpha) * beta / denom
-        kind = "excess"
-    else:
-        theory = -beta / denom
-        kind = "threshold"
+    excess_theory = None if alpha is None or math.isinf(alpha) \
+        else -(1.0 + alpha) * beta / denom
+    return (_fit("excess", excess_rows, excess_theory, cfg),
+            _fit("threshold", threshold_rows, -beta / denom, cfg))
+
+
+def _fit(kind: str, rows: list, theory: float | None,
+         cfg: ExperimentConfig) -> RateFitResult:
+    """The log-log fit of the rows' means against n, over the rows whose
+    mean is positive."""
     included = [r for r in rows if r["mean"] > 0.0]
     slope = intercept = halfwidth = float("nan")
     if len(included) >= 2:
@@ -186,13 +194,8 @@ def _run_experiment(cfg: ExperimentConfig, statistic: str) -> RateFitResult:
 
 
 def run_rate_experiment(cfg: ExperimentConfig) -> RateFitResult:
-    """Excess-score decay across the n grid, with fitted log-log slope."""
-    return _run_experiment(cfg, "excess")
-
-
-def run_threshold_experiment(cfg: ExperimentConfig) -> RateFitResult:
-    """|theta_hat - theta*| decay across the n grid."""
-    return _run_experiment(cfg, "theta_err")
+    """The excess-score half of ``run_experiment``."""
+    return run_experiment(cfg)[0]
 
 
 def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:

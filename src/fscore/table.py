@@ -31,8 +31,8 @@ def write_table(path, header, columns) -> None:
 
 
 def read_table(path) -> tuple[list, np.ndarray]:
-    """The header and the (rows, columns) float array of a table; a table
-    without rows gives shape (0, columns)."""
+    """The header and the (rows, columns) read-only float array of a table;
+    a table without rows gives shape (0, columns)."""
     with open(path, newline="") as fh:
         line = fh.readline()
         if not line:
@@ -42,8 +42,11 @@ def read_table(path) -> tuple[list, np.ndarray]:
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             values = np.loadtxt(fh, delimiter=",", ndmin=2)
     if values.size == 0:
-        return header, values.reshape(0, len(header))
-    if values.shape[1] != len(header):
+        values = values.reshape(0, len(header))
+    elif values.shape[1] != len(header):
         raise ValueError(f"{path}: {values.shape[1]} columns under a header "
                          f"of {len(header)}")
+    # frozen: no one else holds the fresh array, so a data set keeps it
+    # without a copy
+    values.setflags(write=False)
     return header, values

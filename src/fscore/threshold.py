@@ -58,7 +58,7 @@ def empirical_threshold(sample: ScoreSample,
     residual = params.b2 * theta * mean - positive / values.size
     # b^2 + 1 bounds the slope of the equation
     limit = (params.b2 + 1.0) * ROOT_RESIDUAL_TOL
-    if abs(residual) > limit + 1e-12:
+    if not abs(residual) <= limit + 1e-12:  # a NaN fails too
         raise ArithmeticError(f"threshold residual {residual!r} exceeds {limit!r}")
     return theta
 

@@ -12,8 +12,8 @@ import pytest
 
 import fscore as fs
 from fscore.cli import main as cli_main
-from fscore.harness import (ExperimentConfig, run_dkw_check,
-                            run_rate_experiment, run_threshold_experiment)
+from fscore.harness import (ExperimentConfig, run_dkw_check, run_experiment,
+                            run_rate_experiment)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -146,8 +146,7 @@ def test_criterion_6_rate_reproduction():
     start = time.time()
     cfg = ExperimentConfig(n_grid=(500, 1000, 2000, 4000, 8000), reps=50,
                            seed=2024)
-    excess = run_rate_experiment(cfg)
-    threshold = run_threshold_experiment(cfg)
+    excess, threshold = run_experiment(cfg)
     elapsed = time.time() - start
     ok = (abs(excess.slope - (-2 / 3)) <= 0.25
           and abs(threshold.slope - (-1 / 3)) <= 0.2 and elapsed < 900)

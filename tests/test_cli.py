@@ -30,6 +30,10 @@ def test_threshold_subcommand(tmp_path, capsys):
                               "--out", str(tmp_path), "--format", "json")
     assert code == 0
     assert json.loads(stdout)["kind"] == "threshold"
+    with open(tmp_path / "threshold_rate.json") as fh:
+        rows = json.load(fh)["rows"]
+    cfg = fs.ExperimentConfig(n_grid=(200, 400), reps=3, seed=1)
+    assert rows == fs.run_experiment(cfg)[1].rows
 
 
 def test_config_file_with_overrides(tmp_path, capsys):
@@ -146,6 +150,11 @@ def test_train_rejects_invalid_hyperparameters(tmp_path, capsys):
         assert code == 2 and record["error"] == "ValueError"
         assert record["message"].startswith(("k ", "degree ", "bandwidth h "))
         assert f"{field} must" in record["message"]
+    code, _, stderr = run_cli(capsys, "train", "--labeled", str(tmp_path / "lab.csv"),
+                              "--b", "inf", "--out", str(tmp_path / "model"))
+    record = json.loads(stderr)
+    assert code == 2 and record["error"] == "ValueError"
+    assert "b must" in record["message"]
     assert not (tmp_path / "model.json").exists()
 
 
@@ -161,6 +170,12 @@ def test_error_record_on_failure(tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "rate", "--n-rule", rule,
                                   "--out", str(tmp_path))
         assert code != 0 and "n_rule" in json.loads(stderr)["message"]
+    # b = inf wrote a report of zero excesses with "b": null
+    code, stdout, stderr = run_cli(capsys, "rate", "--b", "inf", "--family",
+                                   "constant", "--out", str(tmp_path / "inf"))
+    record = json.loads(stderr)
+    assert code == 2 and stdout == "" and record["error"] == "ValueError"
+    assert "b must" in record["message"] and not (tmp_path / "inf").exists()
 
 
 def test_same_seed_byte_identical(tmp_path, capsys):

@@ -91,6 +91,8 @@ def test_uniform_eta_grid_midpoints():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        fs.FBetaParams(b=0.0)
+    # b = inf or 1e200 made b^2 infinite and the score cap 0
+    for b in (0.0, -1.0, np.inf, np.nan, 1e200):
+        with pytest.raises(ValueError, match="b must"):
+            fs.FBetaParams(b=b)
     assert fs.FBetaParams(b=2.0).score_cap == pytest.approx(0.2)

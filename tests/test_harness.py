@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import fscore as fs
 from fscore import harness
 from fscore.harness import (ExperimentConfig, emit_report, run_dkw_check,
-                            run_rate_experiment, run_threshold_experiment)
+                            run_experiment, run_rate_experiment)
 from fscore.table import read_table
 
 SMALL = dict(n_grid=(200, 400, 800), reps=5, seed=0, oracle_atoms=20_000)
@@ -26,6 +27,9 @@ def test_config_validation():
                          (dict(oracle_atoms=0), "oracle_atoms"),
                          (dict(b=-1.0), "b must"),
                          (dict(b=0.0), "b must"),
+                         (dict(b=math.inf), "b must"),
+                         (dict(b=math.nan), "b must"),
+                         (dict(b=1e200), "b must"),
                          (dict(n_grid=(100.7, 200)), "n_grid"),
                          (dict(n_grid=(True, 200)), "n_grid"),
                          (dict(reps=True), "reps"),
@@ -61,8 +65,28 @@ def test_rate_experiment_shape_and_determinism():
     assert all(r["se"] >= 0 for r in a.rows)
 
 
+def test_run_experiment_one_pass(monkeypatch):
+    calls = []
+    replicate = harness._replicate
+
+    def counted(*args):
+        calls.append(args[3])
+        return replicate(*args)
+
+    monkeypatch.setattr(harness, "_replicate", counted)
+    cfg = ExperimentConfig(**SMALL)
+    excess, threshold = run_experiment(cfg)
+    # one replicate per (n, rep) cell, for both curves
+    assert calls == [n for n in cfg.n_grid for _ in range(cfg.reps)]
+    assert (excess.kind, threshold.kind) == ("excess", "threshold")
+    key = ("n", "N", "reps_valid")
+    assert [[r[k] for k in key] for r in excess.rows] == \
+        [[r[k] for k in key] for r in threshold.rows]
+    assert asdict(run_rate_experiment(cfg)) == asdict(excess)
+
+
 def test_threshold_experiment_theory_exponent():
-    res = run_threshold_experiment(ExperimentConfig(**SMALL))
+    res = run_experiment(ExperimentConfig(**SMALL))[1]
     assert res.kind == "threshold"
     assert res.theory_slope == pytest.approx(-1 / 3)
     assert all(r["mean"] >= 0 for r in res.rows)
@@ -80,9 +104,8 @@ def test_separated_margin_inf_rate_flag():
 
 
 def test_constant_family_threshold_noise_only():
-    generic = run_threshold_experiment(ExperimentConfig(**SMALL))
-    const = run_threshold_experiment(ExperimentConfig(
-        family="constant", **SMALL))
+    generic = run_experiment(ExperimentConfig(**SMALL))[1]
+    const = run_experiment(ExperimentConfig(family="constant", **SMALL))[1]
     # a constant eta has no margin structure to resolve; its threshold error
     # at the largest n should not exceed the generic family's
     assert const.rows[-1]["mean"] <= generic.rows[-1]["mean"] + 0.02

@@ -153,6 +153,20 @@ def test_train_plugin_memory_bounded():
     assert peak <= 1.5 * points.nbytes
 
 
+def test_unlabeled_from_csv_memory_bounded(tmp_path):
+    # read_table freezes the array it reads, so UnlabeledDataset holds it
+    # without a copy
+    points = np.random.default_rng(6).random((200_000, 1))
+    fs.UnlabeledDataset(points=points).to_csv(tmp_path / "unl.csv")
+    tracemalloc.start()
+    try:
+        fs.UnlabeledDataset.from_csv(tmp_path / "unl.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * points.nbytes
+
+
 def test_predictions_csv(tmp_path):
     path = tmp_path / "preds.csv"
     predictions_to_csv(path, np.array([[0.1], [0.9]]), np.array([0, 1]))

@@ -127,6 +127,18 @@ def test_gap_bound_controls_threshold_error():
         assert bound >= abs(theta_hat - theta_star) - 1e-10
 
 
+def test_nan_residual_fails_the_check(monkeypatch):
+    # `abs(residual) > limit` is False for a NaN residual, which let a NaN
+    # root through both residual checks
+    from fscore import core, threshold
+    for module in (core, threshold):
+        monkeypatch.setattr(module, "solve_threshold", lambda *a, **k: np.nan)
+    with pytest.raises(ArithmeticError, match="residual"):
+        fs.bayes_threshold(fs.uniform_eta_grid(10))
+    with pytest.raises(ArithmeticError, match="residual"):
+        fs.empirical_threshold(fs.ScoreSample(values=np.array([0.2, 0.7])))
+
+
 def test_solve_memory_bounded():
     # the uniform solve holds a sorted copy and one running-sum buffer
     values = np.random.default_rng(4).random(4_000_000)
