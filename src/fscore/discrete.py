@@ -8,6 +8,8 @@ substrate for all exact population-level computations.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +60,14 @@ class FBetaParams:
     normalized: bool = True
 
     def __post_init__(self):
-        # b * b too must be finite: b = inf or 1e200 gave a score cap of 0
-        if not (self.b > 0 and math.isfinite(float(self.b) * float(self.b))):
-            raise ValueError(f"b must be positive with a finite square, got {self.b}")
+        # a string, a boolean or an int past the float range is no b; b * b
+        # too must be finite: b = inf or 1e200 gave a score cap of 0
+        b = self.b
+        if isinstance(b, (bool, np.bool_)) or not isinstance(b, numbers.Real) \
+                or isinstance(b, numbers.Integral) and abs(b) > sys.float_info.max \
+                or not (b > 0 and math.isfinite(float(b) * float(b))):
+            raise ValueError(f"b must be a positive real number with a finite "
+                             f"square, got {b!r}")
 
     @property
     def b2(self) -> float:

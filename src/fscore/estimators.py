@@ -1,13 +1,12 @@
 """Nonparametric regression estimators for eta(x) = P(Y=1 | X=x).
 
-Three fitters are provided: k-nearest-neighbor, locally constant
-Epanechnikov kernel smoothing and local polynomial fitting.  A kd-tree over
-the labeled points finds neighbours and windows; the one-dimensional kernel
-instead sweeps its sorted queries once against the sorted points and takes
-window sums from prefix sums, once per run of queries that share a window
-where such runs are long.  All outputs are clipped to [0, 1].
-``default_bandwidth`` gives the rate-matched bandwidth h = n^{-1/(2 beta + d)}
-and the companion concentration rate a_n = n^{2 beta / (2 beta + d)}.
+k-nearest-neighbour regression, and local polynomial regression with
+Epanechnikov weights, whose degree-0 case is the kernel estimate; every
+degree solves the same window moments.  A kd-tree over the labeled points
+finds neighbours and, for d > 1, windows; in one dimension a sorted sweep
+takes the moments from prefix sums kept per anchor, which hold them to
+rounding on any span.  All outputs are clipped to [0, 1].  ``default_bandwidth``
+gives the rate-matched h = n^{-1/(2 beta + d)} and a_n = n^{2 beta/(2 beta + d)}.
 """
 
 from __future__ import annotations
@@ -26,13 +25,15 @@ from .table import read_table, write_table
 
 _CHUNK = 512  # queries per block of window pairs
 _NEIGHBOUR_ENTRIES = 65_536  # (query, neighbour) entries per block of k-NN queries
-# Queries per block of the 1-d Epanechnikov fast path.  glibc's malloc hands
-# larger blocks' temporaries back to the system and page-faults them in
-# again per block (287 000 minor faults on the N = n rate curve at 65 536).
+# Queries per block of the 1-d sweep: glibc's malloc hands larger blocks'
+# temporaries back to the system and page-faults them in again per block.
 _PREFIX_CHUNK = 16_384
-# Relative slack on tree distances: the kd-tree rounds distances on its own,
-# so every radius it is asked for is widened by this factor and the d^2 that
-# decide are recomputed exactly as sum_j (q_j - x_j)^2.
+# Least eigenvalue of a regular local design's Gram matrix scaled to unit
+# diagonal: 1-d window moments carry rounding of about 1e-11 of their prefix
+# sums, which nearer to singular could move eta_hat by more than 1e-9.
+_SINGULAR = 1e-8
+# Relative slack on tree distances, which the kd-tree rounds on its own: the
+# d^2 that decide are recomputed exactly as sum_j (q_j - x_j)^2.
 _SLACK = 1.0 + 1e-9
 
 
@@ -120,6 +121,8 @@ def _bandwidth(h) -> float:
 
 def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
+    if arr.ndim > 2:
+        raise ValueError(f"query points must be at most 2-d, got shape {arr.shape}")
     single = arr.ndim == 1
     arr = np.atleast_2d(arr)
     if arr.shape[1] != d:
@@ -138,13 +141,10 @@ def _tree(points: np.ndarray):
 
 class _Neighbours:
     """One kd-tree over the labeled points behind every nearest-neighbour and
-    window query.
-
-    The tree only proposes candidates.  Whatever decides an answer -- the
-    order of the k nearest, membership of a window, a kernel weight -- uses
-    d^2 = sum_j (q_j - x_j)^2 computed here, exactly as a pass over all n
-    points would compute it.
-    """
+    window query.  The tree only proposes candidates: whatever decides an
+    answer -- the order of the k nearest, membership of a window, a kernel
+    weight -- uses d^2 = sum_j (q_j - x_j)^2 computed exactly as a pass over
+    all n points would compute it."""
 
     def __init__(self, points: np.ndarray):
         self.points = points
@@ -167,17 +167,13 @@ class _Neighbours:
                                           return_inverse=True)
             ranked = np.empty((first.size, k), dtype=idx.dtype)
             for u, i in enumerate(ties[first]):
-                cand, d2 = self.within(block[i], dist[i, k - 1])
+                # ascending indices of the points within about the k-th distance
+                cand = np.array(self.tree.query_ball_point(
+                    block[i], dist[i, k - 1] * _SLACK, return_sorted=True), dtype=np.intp)
+                d2 = ((block[i] - self.points[cand]) ** 2).sum(axis=1)
                 ranked[u] = cand[np.argsort(d2, kind="stable")[:k]]
             idx[ties] = ranked[inverse.ravel()]
         return idx
-
-    def within(self, q: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Indices, ascending, of the points within about r of query q --
-        a superset of those with d^2 <= r^2 -- and their d^2."""
-        cand = np.array(self.tree.query_ball_point(q, r * _SLACK, return_sorted=True),
-                        dtype=np.intp)
-        return cand, ((q - self.points[cand]) ** 2).sum(axis=1)
 
     def pairs(self, block: np.ndarray, r: float):
         """(rows, cols, d2) of the pairs of a query in ``block`` and a point
@@ -196,11 +192,10 @@ class KNNEstimate:
     method = "knn"
 
     def __init__(self, data: LabeledDataset, k: int):
-        k = _integer(k, "k")
+        self.k = k = _integer(k, "k")
         if not (1 <= k <= data.n):
             raise ValueError(f"k must be in [1, {data.n}], got {k}")
         self._data = data
-        self.k = k
         self._index = _Neighbours(data.points)
 
     @property
@@ -218,28 +213,45 @@ class KNNEstimate:
         return out[0] if single else out
 
 
-def _epanechnikov(u2: np.ndarray) -> np.ndarray:
-    return np.clip(1.0 - u2, 0.0, None)
+def _placed(values: np.ndarray, edges: np.ndarray, side: str) -> tuple[int, np.ndarray]:
+    """Over ascending ``values`` and ``edges``: the number of values before the
+    first edge (v < e, or v <= e for side "right"), and for each later value
+    up to the last edge, the first edge it is before."""
+    first, last = np.searchsorted(values, edges[[0, -1]], side)
+    return first, np.searchsorted(edges, values[first:last],
+                                  "right" if side == "left" else "left")
 
 
-class KernelEstimate:
-    """Locally constant Epanechnikov kernel regression; empty windows fall
-    back to 1-NN (ties -> lowest index).
+def _expand(sums: list, s: np.ndarray, k: int) -> np.ndarray:
+    """The window sum of (v + s)^k from those of v^j, by Horner's rule in s."""
+    out = sums[0]
+    for j in range(1, k + 1):
+        out = out * s if j == 1 else np.multiply(out, s, out=out)
+        out += sums[j] if j == k else math.comb(k, j) * sums[j]
+    return out
 
-    One dimension sums windows by a sorted sweep over prefix sums, higher
-    ones over the kd-tree's pairs within h."""
 
-    method = "kernel"
+class LocalPolyEstimate:
+    """Local polynomial regression of degree p, weights w = 1 - z^2 over
+    |z| < 1, z = (x - t)/h, solved from the window moments sum w z^a and
+    sum w z^a y.  A singular design -- fewer distinct points than monomials,
+    or an eigenvalue of its Gram matrix scaled to unit diagonal at most
+    _SINGULAR -- takes the degree-0 value; an empty window takes 1-NN."""
 
-    def __init__(self, data: LabeledDataset, h: float):
+    method = "local_poly"
+
+    def __init__(self, data: LabeledDataset, degree: int, h: float):
+        self.degree = degree = _integer(degree, "degree", 0)
         self.h = _bandwidth(h)
         self._data = data
-        if data.d == 1:
-            x = data.points[:, 0]
-            order = np.argsort(x)
-            self._prefix = _EpanechnikovPrefix(x[order], data.labels[order])
-        else:
-            self._prefix = None
+        # exponents of the monomials of degree <= 2p, by degree, and the
+        # indices among them of the products of those of degree <= p
+        self._powers = sorted((e for e in product(range(2 * degree + 1), repeat=data.d)
+                               if sum(e) <= 2 * degree), key=lambda e: (sum(e), e))
+        mono = [e for e in self._powers if sum(e) <= degree]
+        self._gram = np.array([[self._powers.index(tuple(np.add(a, b))) for b in mono]
+                               for a in mono])
+        self._prefix = _AnchoredPrefix(data, self.h, degree) if data.d == 1 else None
 
     @functools.cached_property
     def _index(self) -> _Neighbours:
@@ -248,185 +260,173 @@ class KernelEstimate:
 
     @property
     def hyperparameters(self) -> dict:
-        return {"h": self.h}
+        return {"degree": self.degree, "h": self.h}
 
-    def _sums(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per query of ``block``: sum_i w_i and sum_i w_i y_i."""
-        if self._prefix is not None:
-            return self._prefix.sums(block[:, 0], self.h)
+    def _pair_moments(self, block: np.ndarray) -> np.ndarray:
+        """The rows of ``_AnchoredPrefix.moments`` over the pairs, but the window's
+        count for its distinct points: exact sums give too few an eigenvalue near 0."""
         rows, cols, d2 = self._index.pairs(block, self.h)
-        w = _epanechnikov(d2 / (self.h * self.h))
-        m = block.shape[0]
-        return (np.bincount(rows, w, minlength=m),
-                np.bincount(rows, w * self._data.labels[cols], minlength=m))
+        w = np.clip(1.0 - d2 / (self.h * self.h), 0.0, None)
+        terms = [w]
+        if self.degree:  # z_j^0 .. z_j^(2p) by running products, then each w z^a
+            z = ((self._data.points[cols] - block[rows]) / self.h).T
+            zp = np.cumprod([np.ones_like(z)] + [z] * (2 * self.degree), axis=0)
+            terms += [w * np.prod(zp[e, range(len(e))], axis=0) for e in self._powers[1:]]
+        terms += [t * self._data.labels[cols] for t in terms[:len(self._gram)]]
+        if self.degree:
+            terms.append((w > 0).astype(float))
+        return np.array([np.bincount(rows, t, minlength=block.shape[0]) for t in terms])
 
     def evaluate(self, x) -> np.ndarray:
         queries, single = _as_batch(x, self._data.d)
         # Fixed blocks bound the temporaries whatever the number of queries.
-        # Prefix sums of an empty window cancel only to rounding noise.
-        step, floor = (_PREFIX_CHUNK, 1e-12) if self._prefix is not None \
-            else (_CHUNK, 0.0)
+        # Prefix sums of a window cancel only to rounding noise.
+        step, floor = (_CHUNK, 0.0) if self._prefix is None else (_PREFIX_CHUNK, 1e-12)
         out = np.empty(queries.shape[0])
         for start in range(0, queries.shape[0], step):
             block = queries[start:start + step]
             vals = out[start:start + block.shape[0]]
-            den, num = self._sums(block)
-            ok = den > floor
+            moments = self._pair_moments(block) if self._prefix is None \
+                else self._prefix.moments(block[:, 0])
+            ok = moments[0] > floor
             # unmasked, which is faster; the ~ok entries are replaced below
             with np.errstate(all="ignore"):
-                np.divide(num, den, out=vals)
+                np.divide(moments[len(self._powers)], moments[0], out=vals)
+            if self.degree:
+                self._fit(moments, ok, vals)
             if not np.all(ok):
                 nearest = self._index.nearest(block[~ok], 1)[:, 0]
                 vals[~ok] = self._data.labels[nearest]
         np.clip(out, 0.0, 1.0, out=out)
         return out[0] if single else out
 
-
-class _EpanechnikovPrefix:
-    """Epanechnikov smoothing in one dimension by one sorted sweep.
-
-    For w_i = 1 - ((t - x_i)/h)^2 over |t - x_i| < h, both the weighted label
-    sum and the weight sum expand into window sums of y, u*y and u^2*y, all
-    available from prefix sums, where u = x - c is taken from the midpoint c
-    of the data range: far from 0 the terms of the uncentered expansion
-    cancel.  Over ascending queries a window [lo, hi) changes only where a
-    point enters or leaves it (the updating of Fan & Marron 1994): a block's
-    points are placed among its window edges once, and where few points are
-    in reach, the consecutive queries that share a window share its sums.
-    """
-
-    def __init__(self, x_sorted: np.ndarray, y_sorted: np.ndarray):
-        self.x = x_sorted
-        self.center = 0.5 * (x_sorted[0] + x_sorted[-1])
-        # prefix sums of y, u*y, u^2*y, u and u^2; a window's count is hi - lo
-        self.cums = np.zeros((5, x_sorted.size + 1))
-        y, uy, u2y, u, u2 = terms = self.cums[:, 1:]
-        y[:] = y_sorted
-        np.multiply(np.subtract(x_sorted, self.center, out=u), y, out=uy)
-        np.multiply(np.multiply(u, u, out=u2), y, out=u2y)
-        np.cumsum(terms, axis=1, out=terms)
-
-    def _placed(self, edges: np.ndarray, side: str) -> tuple[int, np.ndarray]:
-        """Over ascending ``edges``: the number of points before the first
-        edge (x_i < e for side "left", x_i <= e for "right"), and for each
-        later point up to the last edge, the first edge it is before.  Only
-        those later points are searched."""
-        first, last = np.searchsorted(self.x, edges[[0, -1]], side)
-        return first, np.searchsorted(edges, self.x[first:last],
-                                      "right" if side == "left" else "left")
-
-    def _runs(self, t: np.ndarray, h: float):
-        """Index ranges [lo, hi) of the points with |t - x_i| < h over
-        ascending ``t``.  With few points in reach of the block, the
-        queries fall into long runs that share one range: then one range
-        per run and the run lengths, else one range per query and None."""
-        lo0, enter = self._placed(t - h, "right")
-        hi0, leave = self._placed(t + h, "left")
-        m = t.size
-        # runs average over 8 queries here.  Per-run sums measured faster
-        # above about 11 queries per run, per-query ones below; on the N = n
-        # rate curve either alone is 1.6x slower at n = 250 (per-query) or
-        # 2.2x at n = 64 000 (per-run), and cutoffs 8 and 12 time the same
-        if 8 * (enter.size + leave.size + 1) < m:
-            starts = np.unique(np.concatenate(([0], enter, leave)))
-            return (lo0 + np.searchsorted(enter, starts, "right"),
-                    hi0 + np.searchsorted(leave, starts, "right"),
-                    np.diff(starts, append=m))
-        return (lo0 + np.cumsum(np.bincount(enter, minlength=m)),
-                hi0 + np.cumsum(np.bincount(leave, minlength=m)), None)
-
-    def sums(self, t: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per query: sum_i w_i and sum_i w_i y_i."""
-        if not np.all(t[1:] >= t[:-1]):
-            # equal queries get equal windows and equal arithmetic, so the
-            # sweep over the sorted block gives each query the same bits
-            order = np.argsort(t)
-            den, num = np.empty((2, t.size))
-            den[order], num[order] = self.sums(t[order], h)
-            return den, num
-        lo, hi, lengths = self._runs(t, h)
-        s = [cum[hi] - cum[lo] for cum in self.cums]
-        s.append((hi - lo).astype(float))
-        if lengths is not None:
-            # each query of a run takes the run's sums
-            s = [np.repeat(v, lengths) for v in s]
-        s_y, s_uy, s_u2y, s_u, s_u2, s_1 = s
-        tc = t - self.center
-        tc2 = tc * tc
-        tc *= 2.0
-        h2 = h * h
-
-        def expand(s, s_u, s_u2):
-            # s - (tc^2 s - 2 tc s_u + s_u2) / h^2, in this order of operations
-            out = tc2 * s
-            out -= np.multiply(tc, s_u, out=s_u)
-            out += s_u2
-            out /= h2
-            return np.subtract(s, out, out=out)
-
-        return expand(s_1, s_u, s_u2), expand(s_y, s_uy, s_u2y)
+    def _fit(self, moments: np.ndarray, ok: np.ndarray, vals: np.ndarray) -> None:
+        """Overwrite ``vals`` with the degree-p value where the design is regular."""
+        k = len(self._gram)
+        fit = np.flatnonzero(ok & (moments[-1] >= k))
+        gram = np.moveaxis(moments[:, fit][self._gram], -1, 0)
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        scale = np.where(diag > 0, diag, np.inf) ** -0.5  # equilibrated
+        gram *= scale[:, :, None] * scale[:, None, :]
+        regular = np.linalg.eigvalsh(gram)[:, 0] > _SINGULAR
+        rhs = moments[len(self._powers):len(self._powers) + k, fit].T * scale
+        coef = np.linalg.solve(gram[regular], rhs[regular][..., None])
+        vals[fit[regular]] = coef[:, 0, 0] * scale[regular, 0]
 
 
-class LocalPolyEstimate:
-    """Locally weighted polynomial fit with Epanechnikov weights in a radius-h
-    window; singular or underdetermined local designs fall back to the
-    locally constant kernel value."""
+class KernelEstimate(LocalPolyEstimate):
+    """Epanechnikov kernel regression: the local polynomial of degree 0,
+    whose solve is sum w y / sum w."""
 
-    method = "local_poly"
+    method = "kernel"
 
-    def __init__(self, data: LabeledDataset, degree: int, h: float):
-        degree = _integer(degree, "degree")
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        self.h = _bandwidth(h)
-        self._data = data
-        self.degree = degree
-        self._fallback = KernelEstimate(data, self.h)
+    def __init__(self, data: LabeledDataset, h: float):
+        super().__init__(data, 0, h)
 
     @property
     def hyperparameters(self) -> dict:
-        return {"degree": self.degree, "h": self.h}
+        return {"h": self.h}
 
-    def _design(self, centered: np.ndarray) -> np.ndarray:
-        # Monomials of (x - x0)/h with total degree <= self.degree; column 0
-        # is the constant term, whose coefficient is the value at the query.
-        cols = [np.ones(centered.shape[0])]
-        d = centered.shape[1]
-        for exps in product(range(self.degree + 1), repeat=d):
-            if 0 < sum(exps) <= self.degree:
-                term = np.ones(centered.shape[0])
-                for j, e in enumerate(exps):
-                    if e:
-                        term = term * centered[:, j] ** e
-                cols.append(term)
-        return np.column_stack(cols)
 
-    def evaluate(self, x) -> np.ndarray:
-        queries, single = _as_batch(x, self._data.d)
-        pts = self._data.points
-        labels = self._data.labels
-        h2 = self.h * self.h
-        index = self._fallback._index  # the windows share the kernel's tree
-        out = np.empty(queries.shape[0])
-        for i, q in enumerate(queries):
-            cand, d2 = index.within(q, self.h)
-            in_window = d2 < h2
-            rows = cand[in_window]
-            w = _epanechnikov(d2[in_window] / h2)
-            design = self._design((pts[rows] - q) / self.h)
-            if rows.size < design.shape[1]:
-                out[i] = self._fallback.evaluate(q)
-                continue
-            sw = np.sqrt(w)
-            a = design * sw[:, None]
-            b = labels[rows] * sw
-            coef, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-            if rank < design.shape[1]:
-                out[i] = self._fallback.evaluate(q)
-            else:
-                out[i] = coef[0]
-        np.clip(out, 0.0, 1.0, out=out)
-        return out[0] if single else out
+class _AnchoredPrefix:
+    """Window moments in one dimension by one sorted sweep.  Anchors
+    a = x_0 + 2hk, at each k with a point within 2h, keep prefix sums of v^j
+    and v^j y, v = (x - a)/h, over their points within about 2h.  A query's
+    sums of z^j = (v + s)^j, s = (a - t)/h, expand from its nearest anchor's
+    with |v| < 2 and |s| <= 1 on any span: re-centred locally (Seifert,
+    Brockmann, Engel & Gasser 1994).  Over ascending queries a window changes
+    only where a point enters or leaves it (Fan & Marron 1994), and where few
+    do, queries share their window's sums."""
+
+    def __init__(self, data: LabeledDataset, h: float, degree: int):
+        order = np.argsort(data.points[:, 0])
+        x, y = data.points[order, 0], data.labels[order]
+        self.x, self.h, self.degree = x, h, degree
+        k = np.floor((x - x[0]) / (2.0 * h))
+        k = k[np.r_[True, k[1:] != k[:-1]]]
+        k = np.union1d(k, k + 1)
+        # Query t has anchor #(cells <= t), and its window lies in the
+        # anchor's points [first, last): t -+ h rounds monotonically in t.
+        self.cells = x[0] + h * (k[:-1] + k[1:])
+        first = np.searchsorted(x, np.r_[-np.inf, self.cells - h], "right")
+        last = np.searchsorted(x, np.r_[self.cells + h, np.inf], "left")
+        size = last - first + 1  # each anchor's block opens with a 0
+        start = np.cumsum(size) - size
+        self.shift = start - first
+        point = np.repeat(self.shift + 1, size)
+        np.subtract(np.arange(point.size), point, out=point)
+        self.anchor_at = np.repeat(x[0] + (2.0 * h) * k, size)
+        # sums of v^1 .. v^(2p+2), of y v^0 .. y v^(p+2) and, from degree 1
+        # on, of a 1 at the first of equal points; a window's count is hi - lo
+        self.cums = cums = np.empty((3 * degree + 5 + (degree > 0), point.size))
+        v = np.take(x, point, out=cums[0], mode="clip")
+        v -= self.anchor_at
+        v /= h
+        for j in range(1, 2 * degree + 2):
+            np.multiply(cums[j - 1], v, out=cums[j])
+        ys = np.take(y, point, out=cums[2 * degree + 2], mode="clip")
+        for j in range(1, degree + 3):
+            np.multiply(ys, cums[j - 1], out=cums[2 * degree + 2 + j])
+        if degree:
+            cums[-1] = np.r_[True, x[1:] != x[:-1]][point]
+        cums[:, start] = 0.0
+        for s, e in zip(start, start + size):
+            np.cumsum(cums[:, s:e], axis=1, out=cums[:, s:e])
+
+    def _runs(self, t: np.ndarray):
+        """Over ascending ``t``: ranges [lo, hi) into ``cums`` of the points
+        with |t - x_i| < h, in the query's anchor's sums; one per run and the
+        run lengths where runs are long, else one per query and None."""
+        lo0, enter = _placed(self.x, t - self.h, "right")
+        hi0, leave = _placed(self.x, t + self.h, "left")
+        k0, switch = _placed(self.cells, t, "right")
+        m = t.size
+        # per-run sums measured faster above about 11 queries per run (on the
+        # N = n rate curve, 1.6x at n = 250, and per-query 2.2x at n = 64 000)
+        if 8 * (enter.size + leave.size + switch.size + 1) < m:
+            starts = np.unique(np.concatenate(([0], enter, leave, switch)))
+            shift = self.shift[k0 + np.searchsorted(switch, starts, "right")]
+            return (lo0 + np.searchsorted(enter, starts, "right") + shift,
+                    hi0 + np.searchsorted(leave, starts, "right") + shift,
+                    np.diff(starts, append=m))
+        ranges = []
+        for first, placed in ((lo0, enter), (hi0, leave)):
+            steps = np.bincount(placed, minlength=m)
+            # a query past a cell edge moves on to the next anchor's sums
+            np.add.at(steps, switch, np.diff(self.shift[k0:k0 + switch.size + 1]))
+            steps[0] += first + self.shift[k0]
+            ranges.append(np.cumsum(steps, out=steps))
+        return (*ranges, None)
+
+    def moments(self, t: np.ndarray) -> np.ndarray:
+        """Per query, in rows: sum w z^j, j <= 2p, sum w z^j y, j <= p, and
+        from degree 1 on, the number of distinct points in the window."""
+        p = self.degree
+        out = np.empty((len(self.cums) - 3, t.size))
+        if not np.all(t[1:] >= t[:-1]):
+            # equal queries get equal arithmetic, so each keeps its bits
+            order = np.argsort(t)
+            out[:, order] = self.moments(t[order])
+            return out
+        lo, hi, lengths = self._runs(t)
+        sums = np.take(self.cums, hi, axis=1)
+        sums -= np.take(self.cums, lo, axis=1)
+        count = (hi - lo).astype(float)
+        s = self.anchor_at[lo]
+        if lengths is not None:
+            # each query of a run takes the run's sums
+            sums, count, s = (np.repeat(v, lengths, axis=-1) for v in (sums, count, s))
+        s -= t
+        s /= self.h
+        # w z^j = z^j - z^(j+2); z^1 enters only from degree 1 on
+        for rows, raw in ((out[:2 * p + 1], [count, *sums[:2 * p + 2]]),
+                          (out[2 * p + 1:3 * p + 2], sums[2 * p + 2:])):
+            z = {j: _expand(raw, s, j) for j in range(len(rows) + 2) if p or j != 1}
+            for j, row in enumerate(rows):
+                np.subtract(z[j], z[j + 2], out=row)
+        if p:
+            out[-1] = sums[-1]
+        return out
 
 
 _ESTIMATORS = {"knn": KNNEstimate, "kernel": KernelEstimate,

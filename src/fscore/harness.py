@@ -204,8 +204,10 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
     N_values = [_integer(n, "N_values", 1) for n in N_values]
     reps, seed = _integer(reps, "reps", 100), _integer(seed, "seed", 0)
     t_values = [float(t) for t in t_values]
-    if not all(math.isfinite(t) and t > 0 for t in t_values):
-        raise ValueError(f"t_values must be finite and positive, got {t_values}")
+    if not N_values:
+        raise ValueError("N_values must name at least one sample size")
+    if not t_values or not all(math.isfinite(t) and t > 0 for t in t_values):
+        raise ValueError(f"t_values must be nonempty, finite and positive, got {t_values}")
     rng = np.random.default_rng(seed)
     rows = []
     sups = {}

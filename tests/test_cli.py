@@ -176,6 +176,26 @@ def test_error_record_on_failure(tmp_path, capsys):
     record = json.loads(stderr)
     assert code == 2 and stdout == "" and record["error"] == "ValueError"
     assert "b must" in record["message"] and not (tmp_path / "inf").exists()
+    # a string b in a config file failed on '>' with a TypeError
+    cfg = tmp_path / "b.json"
+    cfg.write_text(json.dumps({"b": "2", "family": "constant"}))
+    code, stdout, stderr = run_cli(capsys, "rate", "--config", str(cfg),
+                                   "--out", str(tmp_path / "str"))
+    record = json.loads(stderr)
+    assert code == 2 and stdout == "" and record["error"] == "ValueError"
+    assert "b must" in record["message"] and "'2'" in record["message"]
+
+
+def test_dkw_rejects_empty_lists(tmp_path, capsys):
+    # "" failed with an IndexError; "," wrote an empty report and exited 0
+    for flag, raw, field in (("--n-values", "", "N_values"), ("--n-values", ",", "N_values"),
+                             ("--t-values", ",", "t_values"), ("--t-values", "", "t_values")):
+        code, stdout, stderr = run_cli(capsys, "dkw", flag, raw, "--reps", "100",
+                                       "--out", str(tmp_path))
+        record = json.loads(stderr)
+        assert code == 2 and stdout == "" and record["error"] == "ValueError"
+        assert field in record["message"]
+    assert not list(tmp_path.glob("**/dkw.*"))
 
 
 def test_same_seed_byte_identical(tmp_path, capsys):

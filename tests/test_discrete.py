@@ -95,4 +95,10 @@ def test_params_validation():
     for b in (0.0, -1.0, np.inf, np.nan, 1e200):
         with pytest.raises(ValueError, match="b must"):
             fs.FBetaParams(b=b)
+    # a string failed on '>', an int past the float range raised an
+    # OverflowError, and True was taken as 1
+    for b in ("2", True, np.bool_(True), None, 1 + 2j, 10**400):
+        with pytest.raises(ValueError, match="b must"):
+            fs.FBetaParams(b=b)
+    assert fs.FBetaParams(b=np.int64(2)).b2 == 4 and fs.FBetaParams(b=10**20).b2 == 10**40
     assert fs.FBetaParams(b=2.0).score_cap == pytest.approx(0.2)

@@ -52,51 +52,67 @@ def dense_epanechnikov(data, h, queries):
     return np.clip(out, 0.0, 1.0)
 
 
-def dense_local_poly(est, data, queries):
-    """The per-query local fit over a window found among all n points."""
-    h = est.h
+def dense_local_poly(data, degree, h, queries):
+    """The local fit by least squares over a window found among all n
+    points.  A singular design takes the locally constant value: fewer
+    distinct points than monomials, or an eigenvalue of the design's Gram
+    matrix, scaled to unit diagonal, at most the estimator's bound."""
+    exps = np.array([e for e in itertools.product(range(degree + 1), repeat=data.d)
+                     if sum(e) <= degree])
     out = np.empty(queries.shape[0])
     for i, q in enumerate(queries):
         d2 = ((data.points - q) ** 2).sum(axis=1)
         in_window = d2 < h * h
-        w = np.clip(1.0 - d2[in_window] / (h * h), 0.0, None)
-        design = est._design((data.points[in_window] - q) / h)
-        fallback = fs.KernelEstimate(data, h).evaluate(q)
-        if int(in_window.sum()) < design.shape[1]:
-            out[i] = fallback
+        z = (data.points[in_window] - q) / h
+        sw = np.sqrt(1.0 - d2[in_window] / (h * h))
+        design = np.prod(z[:, None, :] ** exps[None, :, :], axis=2) * sw[:, None]
+        out[i] = dense_epanechnikov(data, h, q[None])[0]
+        if np.unique(data.points[in_window], axis=0).shape[0] < len(exps):
             continue
-        sw = np.sqrt(w)
-        coef, _, rank, _ = np.linalg.lstsq(design * sw[:, None],
-                                           data.labels[in_window] * sw, rcond=None)
-        out[i] = fallback if rank < design.shape[1] else coef[0]
+        gram = design.T @ design
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        if np.linalg.eigvalsh(gram * np.outer(scale, scale))[0] > estimators._SINGULAR:
+            out[i] = np.linalg.lstsq(design, data.labels[in_window] * sw, rcond=None)[0][0]
     return np.clip(out, 0.0, 1.0)
 
 
 def searched_epanechnikov(data, h, queries):
-    """The one-dimensional kernel with a binary search for each query's
-    window over the points sorted stably, and the estimator's expansion of
-    the window sums evaluated per query; an empty window takes the label of
-    the nearest point, the lowest index among equidistant ones."""
+    """The one-dimensional kernel one query at a time: a binary search for
+    the window over the points sorted stably and for the query's anchor
+    among the cell edges, that anchor's prefix sums formed afresh, and the
+    estimator's expansion of the window sums; an empty window takes the
+    label of the nearest point, the lowest index among equidistant ones."""
     order = np.argsort(data.points[:, 0], kind="stable")
     x, y = data.points[order, 0], data.labels[order]
-    t = queries[:, 0]
-    lo = np.searchsorted(x, t - h, side="right")
-    hi = np.searchsorted(x, t + h, side="left")
-    center = 0.5 * (x[0] + x[-1])
-    u, tc, h2, ones = x - center, t - center, h * h, np.ones_like(x)
+    k = np.floor((x - x[0]) / (2.0 * h))
+    k = np.unique(np.concatenate([k, k + 1]))
+    anchors, cells = x[0] + (2.0 * h) * k, x[0] + h * (k[:-1] + k[1:])
+    edges = np.r_[-np.inf, cells, np.inf]
+    out = np.empty(queries.shape[0])
+    for i, t in enumerate(queries[:, 0]):
+        lo = np.searchsorted(x, t - h, side="right")
+        hi = np.searchsorted(x, t + h, side="left")
+        c = np.searchsorted(cells, t, side="right")
+        first = np.searchsorted(x, edges[c] - h, side="right")
+        last = np.searchsorted(x, edges[c + 1] + h, side="left")
+        v = (x[first:last] - anchors[c]) / h
+        s = (anchors[c] - t) / h
 
-    def window(v):
-        cum = np.concatenate([np.zeros(1), np.cumsum(v)])
-        return cum[hi] - cum[lo]
+        def window(term):
+            cum = np.concatenate([np.zeros(1), np.cumsum(term)])
+            return cum[hi - first] - cum[lo - first]
 
-    num = window(y) - (tc * tc * window(y) - 2.0 * tc * window(u * y)
-                       + window(u ** 2 * y)) / h2
-    den = window(ones) - (tc * tc * window(ones) - 2.0 * tc * window(u)
-                          + window(u ** 2)) / h2
-    ok = den > 1e-12
-    out = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    for i in np.flatnonzero(~ok):
-        out[i] = data.labels[np.argmin((data.points[:, 0] - t[i]) ** 2)]
+        def z2(s0, s1, s2):  # the window sum of (v + s)^2
+            return (s0 * s + 2.0 * s1) * s + s2
+
+        count = float(hi - lo)
+        yw = y[first:last]
+        den = count - z2(count, window(v), window(v * v))
+        num = window(yw) - z2(window(yw), window(yw * v), window(yw * (v * v)))
+        if den > 1e-12:
+            out[i] = num / den
+        else:
+            out[i] = data.labels[np.argmin((data.points[:, 0] - t) ** 2)]
     return np.clip(out, 0.0, 1.0)
 
 
@@ -227,12 +243,73 @@ def test_kernel_sweep_expansions(n, per_run):
     rng = np.random.default_rng(n)
     t = np.sort(rng.random(4000) * 1.2 - 0.1)
     est = fs.KernelEstimate(data, h)
-    lo, _, lengths = est._prefix._runs(t, h)
+    lo, _, lengths = est._prefix._runs(t)
     assert (lengths is not None) == per_run
     assert lo.size < 100 if per_run else lo.size == t.size
     for queries in (t, t[::-1], rng.permutation(t)):
         assert_same_bits(est.evaluate(queries[:, None]),
                          searched_epanechnikov(data, h, queries[:, None]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_local_poly_sweep_matches_dense(draw):
+    # the grid of test_kernel_sweep_matches_binary_search: duplicated points,
+    # queries exactly h from a point and past the data, small blocks, any order
+    eighths = st.integers(-12, 52).map(lambda k: k / 8)
+    x = draw.draw(st.lists(eighths, min_size=1, max_size=40))
+    y = draw.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(x),
+                           max_size=len(x)))
+    h = draw.draw(st.sampled_from([0.125, 0.5, 1.0, 3.0]))
+    degree = draw.draw(st.sampled_from([1, 2]))
+    q = draw.draw(st.lists(eighths | st.floats(-3.0, 9.0), min_size=1, max_size=60))
+    q = draw.draw(st.sampled_from([sorted(q), q]))
+    chunk = draw.draw(st.sampled_from([1, 2, 5, 64, 16_384]))
+    data = LabeledDataset(points=np.array(x)[:, None], labels=y)
+    queries = np.array(q)[:, None]
+    est = fs.LocalPolyEstimate(data, degree, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_PREFIX_CHUNK", chunk)
+        out = est.evaluate(queries)
+        single = est.evaluate(queries[0])
+    np.testing.assert_allclose(out, dense_local_poly(data, degree, h, queries),
+                               rtol=0, atol=1e-9)
+    assert_same_bits(single, out[0])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_is_local_poly_of_degree_0(d):
+    data = make_data(n=400, seed=40 + d, d=d)
+    queries = np.random.default_rng(d).random((500, d)) * 1.4 - 0.2
+    for h in (0.02, 0.1, 0.5):
+        assert_same_bits(fs.LocalPolyEstimate(data, 0, h).evaluate(queries),
+                         fs.KernelEstimate(data, h).evaluate(queries))
+
+
+@pytest.mark.parametrize("n, span, h, offset", [
+    (2000, 1.0, 0.01, 0.0), (2000, 1.0, 0.01, 1e6), (2000, 10.0, 0.01, 1e3),
+    (20000, 1000.0, 0.01, 0.0), (20000, 1e5, 0.5, 1e6)])
+def test_wide_spans_hold_eta_to_rounding(n, span, h, offset):
+    # span / h from 100 to 2e5: window sums taken from prefix sums over the
+    # whole range lost eta_hat like eps (span / h)^3, up to 0.05 here
+    rng = np.random.default_rng(n)
+    labels = (rng.random(n) < 0.5).astype(float)
+    queries = rng.random((400, 2)) * span * 1.02 - 0.01 * span + offset
+    data = LabeledDataset(points=rng.random((n, 1)) * span + offset, labels=labels)
+    np.testing.assert_allclose(fs.KernelEstimate(data, h).evaluate(queries[:, :1]),
+                               dense_epanechnikov(data, h, queries[:, :1]),
+                               rtol=0, atol=1e-12)
+    # the plane data fill a strip 20 h wide, so that its windows hold points
+    plane = LabeledDataset(points=np.column_stack(
+        [data.points[:, 0], rng.random(n) * 20 * h + offset]), labels=labels)
+    queries[:, 1] = rng.random(400) * 20 * h + offset
+    for fitted, q in ((data, queries[:200, :1]), (plane, queries[:200])):
+        for degree in (1, 2):
+            est = fs.LocalPolyEstimate(fitted, degree, h)
+            np.testing.assert_allclose(est.evaluate(q),
+                                       dense_local_poly(fitted, degree, h, q),
+                                       rtol=0, atol=1e-9,
+                                       err_msg=f"d={fitted.d}, degree={degree}")
 
 
 @pytest.mark.parametrize("ties", [True, False])
@@ -330,6 +407,15 @@ def test_single_point_evaluation_shape():
     assert np.ndim(out) == 0 or out.shape == (1,) or out.shape == ()
 
 
+def test_queries_of_more_than_two_dimensions_rejected():
+    # a (4, 1, 3) array failed with a different error in each estimator
+    data = make_data(n=50, seed=3)
+    for est in (fs.KNNEstimate(data, 3), fs.KernelEstimate(data, 0.1),
+                fs.LocalPolyEstimate(data, 1, 0.1)):
+        with pytest.raises(ValueError, match="query points"):
+            est.evaluate(np.zeros((4, 1, 3)))
+
+
 def test_csv_round_trip(tmp_path):
     data = make_data(n=20, seed=8, d=2)
     path = tmp_path / "labeled.csv"
@@ -405,9 +491,9 @@ def test_local_poly_matches_dense_windows():
                               data.points[:20] + [0.15, 0.0]])
     for degree, h in ((1, 0.15), (1, 0.05), (2, 0.3)):
         est = fs.LocalPolyEstimate(data, degree, h)
-        np.testing.assert_array_equal(est.evaluate(queries),
-                                      dense_local_poly(est, data, queries),
-                                      err_msg=f"degree={degree}, h={h}")
+        np.testing.assert_allclose(est.evaluate(queries),
+                                   dense_local_poly(data, degree, h, queries),
+                                   rtol=0, atol=1e-9, err_msg=f"degree={degree}, h={h}")
 
 
 def test_bandwidth_must_be_finite():

@@ -147,6 +147,13 @@ def test_dkw_rejects_nonpositive_or_nonfinite_t():
     assert run_dkw_check([100], ["0.1"], reps=100) == run_dkw_check([100], [0.1], reps=100)
 
 
+def test_dkw_rejects_empty_lists():
+    with pytest.raises(ValueError, match="N_values"):
+        run_dkw_check([], [0.1], reps=100)
+    with pytest.raises(ValueError, match="t_values"):
+        run_dkw_check([100], [], reps=100)
+
+
 def test_emit_csv_round_trip(tmp_path):
     res = run_rate_experiment(ExperimentConfig(**SMALL))
     paths = emit_report(res, "csv", str(tmp_path))
