@@ -107,17 +107,23 @@ def _parse_estimator(raw) -> dict:
     return {"method": raw}
 
 
-def _number(raw):
+def _number(raw, name: str):
     """A string parsed as a float; a JSON number as it is, so that a boolean
-    or a fraction reaches the callee's integer check unchanged."""
-    return float(raw) if isinstance(raw, str) else raw
+    or a fraction reaches the callee's integer check unchanged.  A string
+    that is no number raises a ValueError that names ``name``."""
+    if not isinstance(raw, str):
+        return raw
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{name}: {raw!r} is not a number") from None
 
 
-def _number_list(raw) -> list:
+def _number_list(raw, name: str) -> list:
     """A comma-separated string or a JSON list, as a list of numbers."""
     if isinstance(raw, str):
         raw = [tok for tok in raw.split(",") if tok.strip()]
-    return [_number(v) for v in raw]
+    return [_number(v, name) for v in raw]
 
 
 def _with_flags(cfg: dict, args, keys) -> dict:
@@ -131,7 +137,7 @@ def _experiment_config(args) -> ExperimentConfig:
                       ("n_grid", "reps", "seed", "family", "estimator", "b"))
     if "n_grid" in cfg:
         # parsed as numbers only: ExperimentConfig rejects a fractional size
-        cfg["n_grid"] = _number_list(cfg["n_grid"])
+        cfg["n_grid"] = _number_list(cfg["n_grid"], "n_grid")
     if "estimator" in cfg:
         cfg["estimator"] = _parse_estimator(cfg["estimator"])
     if args.n_rule is not None:
@@ -154,9 +160,10 @@ def _run(args) -> int:
         cfg = _with_flags({**_DKW_DEFAULTS, **_load_config(args.config)}, args,
                           _DKW_DEFAULTS)
         # parsed as numbers only: run_dkw_check rejects a fractional N or reps
-        rows = run_dkw_check(_number_list(cfg["n_values"]),
-                             _number_list(cfg["t_values"]),
-                             _number(cfg["reps"]), seed=_number(cfg["seed"]))
+        rows = run_dkw_check(_number_list(cfg["n_values"], "N_values"),
+                             _number_list(cfg["t_values"], "t_values"),
+                             _number(cfg["reps"], "reps"),
+                             seed=_number(cfg["seed"], "seed"))
         paths = emit_report(rows, args.format, args.out, stem="dkw")
         _print_json({"rows": rows, "written": paths})
         return 0

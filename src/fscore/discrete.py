@@ -68,6 +68,10 @@ class FBetaParams:
                 or not (b > 0 and math.isfinite(float(b) * float(b))):
             raise ValueError(f"b must be a positive real number with a finite "
                              f"square, got {b!r}")
+        # held as a Python int or float, so that b * b is exact or taken in
+        # double precision, never in a narrower numpy type
+        object.__setattr__(self, "b", int(b) if isinstance(b, numbers.Integral)
+                           else float(b))
 
     @property
     def b2(self) -> float:

@@ -75,14 +75,13 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SmoothnessSpec:
-    """Holder smoothness (exponent beta, constant L)."""
+    """Holder smoothness exponent beta."""
 
     beta: float
-    L: float = 1.0
 
     def __post_init__(self):
-        if not (self.beta > 0 and self.L > 0):
-            raise ValueError("beta and L must be positive")
+        if not (self.beta > 0):
+            raise ValueError("beta must be positive")
 
 
 class BandwidthScale(NamedTuple):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import solve_threshold
 from .discrete import DiscreteDistribution
-from .estimators import LabeledDataset, SmoothnessSpec
+from .estimators import LabeledDataset, SmoothnessSpec, _integer
 from .plugin import UnlabeledDataset
 
 
@@ -24,20 +24,14 @@ class ConstructionError(ValueError):
 
 @dataclass(frozen=True)
 class MarginSpec:
-    """Margin behaviour near theta*: P(0 < |eta - theta*| <= delta) <= C0 delta^alpha
-    for delta <= delta0.  alpha = inf flags a separated margin."""
+    """Margin exponent near theta*: P(0 < |eta - theta*| <= delta) is of
+    order delta^alpha.  alpha = inf flags a separated margin."""
 
     alpha: float
-    C0: float = 1.0
-    delta0: float = 1.0 / 12.0
 
     def __post_init__(self):
         if not (self.alpha > 0):
             raise ValueError("alpha must be positive (use math.inf for separation)")
-        if not (self.C0 > 0):
-            raise ValueError("C0 must be positive")
-        if not (0.0 < self.delta0 <= 1.0 / 12.0):
-            raise ValueError("delta0 must lie in (0, 1/12]")
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +73,50 @@ class AnalyticDistribution:
     eta: Callable  # (k, d) array -> (k,) array
     theta_star: float
     sampler: Callable  # (rng, n) -> (n, d) array of X draws
-    discretizer: Callable  # (n_atoms, seed) -> DiscreteDistribution
+    discretize: Callable  # (n_atoms, seed=0) -> DiscreteDistribution
     margin_probabilities: Callable  # deltas -> exact P(0 < |eta - theta*| <= delta)
     density: Callable | None = None  # (k, d) -> (k,) density values
     margin: MarginSpec | None = None
     smoothness: SmoothnessSpec | None = None
     extras: dict = field(default_factory=dict)
 
-    def discretize(self, n_atoms: int, seed: int = 0) -> DiscreteDistribution:
-        return self.discretizer(n_atoms, seed)
+
+def _step_margin(gaps, masses) -> Callable:
+    """Exact P(0 < |eta - theta*| <= delta) per delta when |eta - theta*|
+    takes the values ``gaps`` with probabilities ``masses``."""
+    gaps = np.asarray(gaps, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+
+    def margin_probabilities(deltas):
+        deltas = np.asarray(deltas, dtype=float)
+        return np.array([masses[(gaps > 0) & (gaps <= dl)].sum()
+                         for dl in deltas.ravel()]).reshape(deltas.shape)
+
+    return margin_probabilities
+
+
+def _unit_interval_family(eta_flat: Callable, **fields) -> AnalyticDistribution:
+    """A 1-d family with X ~ U[0,1] and eta(x) = eta_flat(x) on (k,) arrays:
+    the sampler, the density 1 on [0, 1] and 0 elsewhere, and the midpoint
+    grid of n_atoms equal masses as its discretization."""
+
+    def flat(x):
+        return np.asarray(x, dtype=float).reshape(-1)
+
+    def discretize(n_atoms, seed=0):
+        grid = (np.arange(n_atoms) + 0.5) / n_atoms
+        return DiscreteDistribution(support=grid[:, None],
+                                    mass=np.full(n_atoms, 1.0 / n_atoms),
+                                    eta=eta_flat(grid))
+
+    def density(x):
+        x = flat(x)
+        return np.where((x >= 0) & (x <= 1), 1.0, 0.0)
+
+    return AnalyticDistribution(
+        d=1, eta=lambda x: eta_flat(flat(x)),
+        sampler=lambda rng, n: rng.random(n)[:, None], discretize=discretize,
+        density=density, **fields)
 
 
 def sample(dist: AnalyticDistribution, n: int, seed, labeled: bool = True):
@@ -158,9 +187,13 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
     E(eta - c)_+ have closed forms and c is the root of c E eta - E(eta - c)_+,
     found by bracketing.  The margin probabilities are exact as well."""
     if not (0.0 < beta <= 1.0):
-        raise ConstructionError("smooth 1-d family supports beta in (0, 1]")
-    if alpha_target <= 0 or slope <= 0 or not (0.0 < x0 < 1.0):
-        raise ConstructionError("invalid smooth-family parameters")
+        raise ConstructionError(f"beta must lie in (0, 1], got {beta!r}")
+    if not (alpha_target > 0):
+        raise ConstructionError(f"alpha_target must be positive, got {alpha_target!r}")
+    if not (0.0 < slope < math.inf):
+        raise ConstructionError(f"slope must be positive and finite, got {slope!r}")
+    if not (0.0 < x0 < 1.0):
+        raise ConstructionError(f"x0 must lie in (0, 1), got {x0!r}")
     exponent = 1.0 / alpha_target
 
     def clipped_power(cap, w):
@@ -184,15 +217,6 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
         dx = x_flat - x0
         return np.clip(level + slope * np.sign(dx) * np.abs(dx) ** exponent, 0.0, 1.0)
 
-    def eta_fn(x):
-        return eta_flat(np.asarray(x, dtype=float).reshape(-1))
-
-    def discretizer(n_atoms, seed=0):
-        grid = (np.arange(n_atoms) + 0.5) / n_atoms
-        return DiscreteDistribution(support=grid[:, None],
-                                    mass=np.full(n_atoms, 1.0 / n_atoms),
-                                    eta=eta_flat(grid))
-
     def margin_probabilities(deltas):
         # each side holds |eta - c| <= delta up to t = (delta/slope)^alpha,
         # or over its whole width w once delta reaches its cap
@@ -201,17 +225,11 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
         return sum(np.where(deltas >= cap, w, np.minimum(w, reach))
                    for cap, w in ((1.0 - level, 1.0 - x0), (level, x0)))
 
-    family = AnalyticDistribution(
-        name="smooth_1d", d=1, eta=eta_fn, theta_star=level,
-        sampler=lambda rng, n: rng.random(n)[:, None], discretizer=discretizer,
-        density=lambda x: np.where(
-            (np.asarray(x, dtype=float).reshape(-1) >= 0)
-            & (np.asarray(x, dtype=float).reshape(-1) <= 1), 1.0, 0.0),
-        margin=MarginSpec(alpha=alpha_target, C0=2.0 * slope ** (-alpha_target)),
-        smoothness=SmoothnessSpec(beta=min(beta, exponent, 1.0), L=slope),
+    family = _unit_interval_family(
+        eta_flat, name="smooth_1d", theta_star=level,
+        margin=MarginSpec(alpha=alpha_target),
+        smoothness=SmoothnessSpec(beta=min(beta, exponent, 1.0)),
         margin_probabilities=margin_probabilities,
-        extras={"level": level, "slope": slope, "x0": x0,
-                "exponent": exponent},
     )
     report = verify_margin(family, 2.0 ** -np.arange(3, 10))
     if not math.isinf(report.exponent) and abs(report.exponent - alpha_target) > 0.2:
@@ -225,24 +243,11 @@ def make_constant_family(eta_value: float = 0.5) -> AnalyticDistribution:
     """X ~ U[0,1], eta identically constant: no margin crossing (alpha = inf)."""
     if not (0.0 < eta_value <= 1.0):
         raise ConstructionError("eta_value must lie in (0, 1]")
-    theta_star = solve_threshold(np.array([eta_value]), np.array([1.0]), 1.0)
-
-    def eta_fn(x):
-        return np.full(np.asarray(x, dtype=float).reshape(-1).size, eta_value)
-
-    def discretizer(n_atoms, seed=0):
-        grid = (np.arange(n_atoms) + 0.5) / n_atoms
-        return DiscreteDistribution(support=grid[:, None],
-                                    mass=np.full(n_atoms, 1.0 / n_atoms),
-                                    eta=np.full(n_atoms, eta_value))
-
-    return AnalyticDistribution(
-        name="constant", d=1, eta=eta_fn, theta_star=float(theta_star),
-        sampler=lambda rng, n: rng.random(n)[:, None], discretizer=discretizer,
-        density=lambda x: np.ones(np.asarray(x, dtype=float).reshape(-1).size),
-        margin=MarginSpec(alpha=math.inf),
-        margin_probabilities=lambda deltas: np.zeros(np.asarray(deltas).size),
-        extras={"eta_value": eta_value},
+    theta_star = float(solve_threshold(np.array([eta_value]), np.array([1.0]), 1.0))
+    return _unit_interval_family(
+        lambda x: np.full(x.size, eta_value), name="constant",
+        theta_star=theta_star, margin=MarginSpec(alpha=math.inf),
+        margin_probabilities=_step_margin([abs(eta_value - theta_star)], [1.0]),
     )
 
 
@@ -257,18 +262,12 @@ def make_two_point_family(eta_low: float = 0.1, eta_high: float = 0.9) -> Analyt
         return np.where(np.asarray(x, dtype=float).reshape(-1) < 0.5,
                         eta_high, eta_low)
 
-    def margin_probabilities(deltas):
-        deltas = np.asarray(deltas, dtype=float)
-        gaps = np.abs(atoms.eta - theta_star)
-        return np.array([atoms.mass[(gaps > 0) & (gaps <= d)].sum() for d in deltas])
-
     return AnalyticDistribution(
         name="two_point", d=1, eta=eta_fn, theta_star=float(theta_star),
         sampler=lambda rng, n: rng.integers(0, 2, size=n).astype(float)[:, None],
-        discretizer=lambda n_atoms, seed=0: atoms,
-        margin=MarginSpec(alpha=math.inf, delta0=1.0 / 12.0),
-        margin_probabilities=margin_probabilities,
-        extras={"atoms": atoms},
+        discretize=lambda n_atoms, seed=0: atoms,
+        margin=MarginSpec(alpha=math.inf),
+        margin_probabilities=_step_margin(np.abs(atoms.eta - theta_star), atoms.mass),
     )
 
 
@@ -286,15 +285,13 @@ class HardFamilyParams:
     L: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1 or self.q < 1:
-            raise ValueError("d and q must be positive integers")
+        for name in ("d", "q", "m"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if not (0.0 < self.beta <= 1.0):
             # past 1, a bound on pairwise ratios no longer checks Holder-beta
             raise ValueError("the hard family supports beta in (0, 1]")
         if not (self.L > 0):
             raise ValueError("L must be positive")
-        if not (1 <= self.m <= self.q ** self.d):
-            raise ValueError("need 1 <= m <= q^d")
         if self.m >= self.q ** self.d:
             raise ValueError("need m < q^d so the bulk ball has positive volume")
         if not (0.0 < self.w <= 1.0 / self.m):
@@ -372,70 +369,27 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
     ks = np.stack(np.unravel_index(np.arange(m), (q,) * d), axis=1)
     centers = (2.0 * ks + 1.0) / (2.0 * q)  # (m, d)
 
-    def nearest_grid(x_pos):
-        k = np.clip(np.floor(x_pos * q), 0, q - 1)
-        return (2.0 * k + 1.0) / (2.0 * q)
-
-    def cell_rank(x_pos):
-        k = np.clip(np.floor(x_pos * q), 0, q - 1).astype(int)
-        return np.ravel_multi_index(k.T, (q,) * d)
-
-    def phi(x_pos):
-        z = nearest_grid(x_pos)
-        r = np.linalg.norm(x_pos - z, axis=1)
-        return phi_max * bump_u(q * r)
-
-    def xi(r):
-        return (tau - 0.25) * bump_v((r - sqrt_d) / rho) + 0.25
-
     def eta_fn(x):
         x = np.asarray(x, dtype=float).reshape(-1, d)
         r = np.linalg.norm(x, axis=1)
         out = np.full(x.shape[0], tau)
         ann = (r >= sqrt_d) & (r < sqrt_d + rho)
-        out[ann] = xi(r[ann])
+        out[ann] = (tau - 0.25) * bump_v((r[ann] - sqrt_d) / rho) + 0.25
         inside = r < sqrt_d
         out[inside] = 0.25
-        in_cube = inside & np.all((x >= 0.0) & (x <= 1.0), axis=1)
-        if np.any(in_cube):
-            xp = x[in_cube]
-            rank = cell_rank(xp)
-            active = rank < m
-            if np.any(active):
-                vals = out[in_cube]
-                vals[active] = 0.25 + sigma[rank[active]] * phi(xp[active])
-                out[in_cube] = vals
-        in_mirror = inside & np.all((x <= 0.0) & (x >= -1.0), axis=1)
-        if np.any(in_mirror):
-            xp = -x[in_mirror]
-            rank = cell_rank(xp)
-            active = rank < m
-            if np.any(active):
-                vals = out[in_mirror]
-                vals[active] = 0.25 - sigma[rank[active]] * phi(xp[active])
-                out[in_mirror] = vals
-        return np.clip(out, 0.0, 1.0)
-
-    ball_density = w / _ball_volume(d, ball_r)
-    bulk_density = bulk_mass / _ball_volume(d, r0)
-
-    def density(x):
-        x = np.asarray(x, dtype=float).reshape(-1, d)
-        out = np.zeros(x.shape[0])
+        # the active cells of [0, 1]^d carry 1/4 + sigma phi, their mirror
+        # images 1/4 - sigma phi
         for s in (1.0, -1.0):
             xs = s * x
-            in_cube = np.all((xs >= 0.0) & (xs <= 1.0), axis=1)
-            if np.any(in_cube):
-                xp = xs[in_cube]
-                z = nearest_grid(xp)
-                close = np.linalg.norm(xp - z, axis=1) <= ball_r
-                active = cell_rank(xp) < m
-                vals = out[in_cube]
-                vals[close & active] = ball_density
-                out[in_cube] = vals
-        in_bulk = np.linalg.norm(x - a0_center, axis=1) <= r0
-        out[in_bulk] = bulk_density
-        return out
+            rows = np.flatnonzero(inside & np.all((xs >= 0.0) & (xs <= 1.0), axis=1))
+            k = np.clip(np.floor(xs[rows] * q), 0, q - 1)
+            rank = np.ravel_multi_index(k.astype(int).T, (q,) * d)
+            active = rank < m
+            dist = np.linalg.norm(xs[rows[active]] - (2.0 * k[active] + 1.0) / (2.0 * q),
+                                  axis=1)
+            out[rows[active]] = 0.25 + s * sigma[rank[active]] * (
+                phi_max * bump_u(q * dist))
+        return np.clip(out, 0.0, 1.0)
 
     def _uniform_in_ball(rng_, n, center, radius):
         u = rng_.standard_normal((n, d))
@@ -443,9 +397,21 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
         rad = radius * rng_.random(n) ** (1.0 / d)
         return center + u * rad[:, None]
 
+    # The mass components: a ball in each active cell, one in its mirror
+    # image and the bulk ball, each carrying a uniform density.
     comp_centers = np.vstack([centers, -centers, a0_center[None, :]])
     comp_radii = np.concatenate([np.full(2 * m, ball_r), [r0]])
     comp_masses = np.concatenate([np.full(2 * m, w), [bulk_mass]])
+    comp_density = comp_masses / np.concatenate(
+        [np.full(2 * m, _ball_volume(d, ball_r)), [_ball_volume(d, r0)]])
+
+    def density(x):
+        x = np.asarray(x, dtype=float).reshape(-1, d)
+        out = np.zeros(x.shape[0])
+        for idx in range(comp_masses.size):
+            inside = np.linalg.norm(x - comp_centers[idx], axis=1) <= comp_radii[idx]
+            out[inside] = comp_density[idx]
+        return out
 
     def sampler(rng_, n):
         choice = rng_.choice(comp_masses.size, size=n, p=comp_masses)
@@ -465,8 +431,8 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
         eta=np.concatenate([0.25 + sigma * phi_max, 0.25 - sigma * phi_max, [tau]]),
     )
 
-    def discretizer(n_atoms, seed_=0):
-        rng_ = np.random.default_rng(seed_)
+    def discretize(n_atoms, seed=0):
+        rng_ = np.random.default_rng(seed)
         per = max(1, n_atoms // comp_masses.size)
         points, masses = [], []
         for idx in range(comp_masses.size):
@@ -478,27 +444,21 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
                                     mass=np.concatenate(masses),
                                     eta=eta_fn(support))
 
-    def margin_probabilities(deltas):
-        deltas = np.asarray(deltas, dtype=float)
-        gaps = np.array([phi_max, tau - 0.25])
-        masses = np.array([2.0 * mw, bulk_mass])
-        return np.array([masses[(gaps > 0) & (gaps <= dl)].sum() for dl in deltas])
-
     theta_check = solve_threshold(exact_atoms.eta, exact_atoms.mass, 1.0)
     if abs(theta_check - 0.25) > 1e-9:
         raise ConstructionError(f"pinned threshold check failed: {theta_check!r}")
 
     return AnalyticDistribution(
         name="hard", d=d, eta=eta_fn, theta_star=0.25, sampler=sampler,
-        discretizer=discretizer, density=density,
+        discretize=discretize, density=density,
         margin=None,  # the exponent depends on how m, w scale with n
-        smoothness=SmoothnessSpec(beta=beta, L=p.L),
-        margin_probabilities=margin_probabilities,
+        smoothness=SmoothnessSpec(beta=beta),
+        margin_probabilities=_step_margin([phi_max, tau - 0.25],
+                                          [2.0 * mw, bulk_mass]),
         extras={"params": p, "C_phi": c_phi, "b_prime": b_prime, "tau": tau,
                 "rho": rho, "sigma": sigma, "phi_max": phi_max,
-                "exact_atoms": exact_atoms, "a0_center": a0_center,
-                "a0_radius": r0, "ball_radius": ball_r,
-                "density_levels": (ball_density, bulk_density)},
+                "exact_atoms": exact_atoms,
+                "density_levels": (comp_density[0], comp_density[-1])},
     )
 
 

@@ -225,3 +225,17 @@ def test_rate_report_and_summary_are_strict_json(tmp_path, capsys):
     for record in (summary, report):
         assert record["slope"] is None and record["intercept"] is None
         assert record["slope_halfwidth"] is None
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("dkw", "--t-values", "a", "--n-values", "10", "--reps", "100"), "t_values"),
+    (("dkw", "--n-values", "x", "--reps", "100"), "N_values"),
+    (("rate", "--n-grid", "a,b", "--reps", "2"), "n_grid"),
+])
+def test_number_lists_name_their_field(tmp_path, capsys, argv, field):
+    # float('a') used to give a record that named no field
+    code, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 2 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "ValueError" and field in record["message"]
+    assert not (tmp_path / "o").exists()

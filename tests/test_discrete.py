@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,15 @@ def test_params_validation():
             fs.FBetaParams(b=b)
     assert fs.FBetaParams(b=np.int64(2)).b2 == 4 and fs.FBetaParams(b=10**20).b2 == 10**40
     assert fs.FBetaParams(b=2.0).score_cap == pytest.approx(0.2)
+
+
+def test_params_square_b_in_double_precision():
+    # a float32 b was squared in float32: 1e30 overflowed to inf with a
+    # RuntimeWarning and the score cap became 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = fs.FBetaParams(b=np.float32(1e30))
+        assert type(params.b) is float
+        assert params.b2 == pytest.approx(1e60, rel=1e-6)
+        assert params.score_cap > 0
+        assert type(fs.FBetaParams(b=np.int64(3)).b) is int

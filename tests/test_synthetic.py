@@ -114,6 +114,21 @@ def test_smooth_family_density_uniform():
     assert rep["mu_min_observed"] == rep["mu_max_observed"] == 1.0
 
 
+@pytest.mark.parametrize("kw, name", [
+    ({"alpha_target": float("nan")}, "alpha_target"),
+    ({"alpha_target": -1.0}, "alpha_target"),
+    ({"beta": float("nan")}, "beta"),
+    ({"slope": float("inf")}, "slope"),
+    ({"slope": float("nan")}, "slope"),
+    ({"x0": float("nan")}, "x0"),
+])
+def test_smooth_family_rejects_bad_parameters(kw, name):
+    # slope = inf and alpha_target = nan used to reach brentq, which failed
+    # on a NaN function value
+    with pytest.raises(fs.ConstructionError, match=name):
+        fs.make_smooth_1d_family(**kw)
+
+
 # ---------------------------------------------------------------------------
 # constant and two-point families
 
@@ -124,6 +139,20 @@ def test_constant_family_threshold():
     rep = fs.verify_margin(fam, [0.01, 0.1])
     assert np.all(rep.probabilities == 0.0)
     assert np.isinf(fam.margin.alpha)
+
+
+def test_constant_family_margin_and_density():
+    # |eta - theta*| = 1/2 - 1/3 = 1/6 on all of [0, 1]; the margin reported
+    # 0 past it and the density 1 outside [0, 1]
+    fam = fs.make_constant_family(0.5)
+    np.testing.assert_array_equal(fam.margin_probabilities([0.2]), [1.0])
+    np.testing.assert_array_equal(fam.margin_probabilities([1 / 6 - 1e-9]), [0.0])
+    # a scalar delta, as the smooth family takes it, failed to iterate
+    assert fam.margin_probabilities(0.2) == 1.0
+    assert fs.make_two_point_family().margin_probabilities(0.5) == 1.0
+    np.testing.assert_array_equal(fam.density([[1.5]]), [0.0])
+    np.testing.assert_array_equal(fam.density([[-0.1], [0.0], [0.5], [1.0]]),
+                                  [0.0, 1.0, 1.0, 1.0])
 
 
 def test_two_point_family_exact():
@@ -233,6 +262,9 @@ def test_hard_family_density_levels():
     fam = fs.build_hard_family(p, seed=0)
     levels = fam.extras["density_levels"]
     assert len(levels) == 2
+    # the component table: each mass ball carries its own level at its centre
+    np.testing.assert_array_equal(fam.density(fam.extras["exact_atoms"].support),
+                                  [levels[0]] * (2 * p.m) + [levels[1]])
     # sampled points carry positive density
     x = fs.sample(fam, 2000, seed=5, labeled=False).points
     dens = fam.density(x)
@@ -253,6 +285,17 @@ def test_hard_family_invalid_params():
         fs.HardFamilyParams(d=1, beta=1.0, q=8, m=0, w=0.02)
     with pytest.raises(ValueError):
         fs.HardFamilyParams(d=1, beta=1.0, q=2, m=1, w=0.6)  # m w >= 1/2
+
+
+def test_hard_family_integer_params():
+    # q = 8.5 used to build and fail later with a TypeError; True was taken as 1
+    for kw, name in (({"q": 8.5}, "q"), ({"d": 1.5}, "d"), ({"m": 2.5}, "m"),
+                     ({"q": True}, "q"), ({"d": 0}, "d"), ({"q": "8"}, "q")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            hard_params(**kw)
+    p = hard_params(q=8.0, m=np.int64(3))
+    assert type(p.q) is int and type(p.m) is int
+    assert fs.build_hard_family(p, seed=0).extras["params"].q == 8
 
 
 def test_rate_params_helper():
