@@ -28,5 +28,7 @@ print(f"brute-force max = {best:.6f} at {best_bits}")
 
 # excess of a deliberately bad rule, two equivalent routes
 bad = np.array([0, 0, 1])
-print(f"excess(bad rule): direct = {fs.excess_fbeta(dist, bad, params):.6f}, "
-      f"weighted-disagreement = {fs.excess_fbeta(dist, bad, params, mode='lemma1'):.6f}")
+direct = (fs.population_fbeta(dist, g_star, params)
+          - fs.population_fbeta(dist, bad, params))
+print(f"excess(bad rule): direct = {direct:.6f}, "
+      f"weighted-disagreement = {fs.excess_fbeta(dist, bad, params):.6f}")

@@ -23,4 +23,4 @@ theta_star = fs.bayes_threshold(oracle)
 scores = clf.eta_hat.evaluate(oracle.support)
 bits = (np.asarray(scores) > clf.theta_hat).astype(int)
 print(f"excess F-score of the plug-in rule: "
-      f"{fs.excess_fbeta(oracle, bits, mode='lemma1'):.5f}")
+      f"{fs.excess_fbeta(oracle, bits):.5f}")

@@ -20,20 +20,35 @@ _SEGMENT_SLACK = 1e-15  # candidates this far outside a segment still count
 _SCAN_CHUNK = 65_536  # segments whose candidates are formed per step
 
 
-def threshold_equation(theta, values, weights, b: float = 1.0):
+def threshold_equation(theta, values, weights=None, b: float = 1.0):
     """b^2*theta*S - sum_i w_i (v_i - theta)_+  with S = sum_i w_i v_i.
 
-    Strictly increasing in theta whenever S > 0.  Vectorized over theta.
+    Without ``weights`` every value weighs 1.  Strictly increasing in theta
+    whenever S > 0.  Vectorized over theta; the values are taken in chunks
+    of _SCAN_CHUNK // len(theta) (at least one), so no len(theta) by
+    len(values) array is formed.
     """
     values = np.asarray(values, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
-    s = float(weights @ values)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float).ravel()
     th = np.asarray(theta, dtype=float)
-    scalar = th.ndim == 0
     th1 = np.atleast_1d(th)
-    pos = np.clip(values[None, :] - th1[:, None], 0.0, None) @ weights
-    out = b * b * th1 * s - pos
-    return float(out[0]) if scalar else out
+    step = max(1, _SCAN_CHUNK // th1.size)
+    s = 0.0
+    pos = np.zeros(th1.size)
+    for start in range(0, values.size, step):
+        v = values[start:start + step]
+        part = v - th1[:, None]
+        np.maximum(part, 0.0, out=part)
+        if weights is None:
+            s += float(v.sum())
+            pos += part.sum(axis=1)
+        else:
+            w = weights[start:start + step]
+            s += float(w @ v)
+            pos += part @ w
+    out = b * b * s * th1 - pos
+    return float(out[0]) if th.ndim == 0 else out
 
 
 def solve_threshold(values, weights=None, b: float = 1.0) -> float:
@@ -47,6 +62,10 @@ def solve_threshold(values, weights=None, b: float = 1.0) -> float:
     sum is taken after sorting, so the uniform root is a bitwise function of
     the multiset of values.  Returns 0.0 for the degenerate all-zero case
     (every theta solves the equation there; see package notes).
+
+    The root is checked by one pass of ``threshold_equation`` at it: the
+    residual per unit of total weight (per value without ``weights``) above
+    ROOT_RESIDUAL_TOL, or a NaN, raises ``ArithmeticError``.
     """
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
@@ -59,7 +78,12 @@ def solve_threshold(values, weights=None, b: float = 1.0) -> float:
         order = np.argsort(values)
         v = values[order]
         w = weights[order]
-    return _segment_scan(v, w, b * b)
+    theta = _segment_scan(v, w, b * b)
+    residual = threshold_equation(theta, v, w, b)
+    limit = ROOT_RESIDUAL_TOL * (v.size if w is None else float(w.sum()))
+    if not abs(residual) <= limit:  # a NaN fails too
+        raise ArithmeticError(f"threshold residual {residual!r} exceeds {limit!r}")
+    return theta
 
 
 def _ascending(v: np.ndarray) -> bool:
@@ -139,25 +163,16 @@ def _segment_scan(v, w, b2: float) -> float:
 
 
 def population_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParams()) -> float:
-    """F_b(g) = P(Y=1, g(X)=1) / (b^2 P(Y=1) + P(g(X)=1)), normalized form."""
+    """F_b(g) = P(Y=1, g(X)=1) / (b^2 P(Y=1) + P(g(X)=1))."""
     bits = as_bits(dist, g)
     num = float(dist.mass @ (dist.eta * bits))
     den = params.b2 * dist.p_y1 + float(dist.mass @ bits)
-    score = num / den
-    if not params.normalized:
-        score *= 1.0 + params.b2
-    return score
+    return num / den
 
 
 def bayes_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParams()) -> float:
     """Optimal threshold theta*: root of b^2*theta*P(Y=1) = E(eta(X)-theta)_+."""
-    if dist.p_y1 <= 0:
-        raise ValueError("P(Y=1) must be positive for the optimal threshold")
-    theta = solve_threshold(dist.eta, dist.mass, params.b)
-    residual = threshold_equation(theta, dist.eta, dist.mass, params.b)
-    if not abs(float(residual)) <= ROOT_RESIDUAL_TOL:  # a NaN fails too
-        raise ArithmeticError(f"threshold residual {float(residual)!r} exceeds tolerance")
-    return theta
+    return solve_threshold(dist.eta, dist.mass, params.b)
 
 
 def bayes_classifier(dist: DiscreteDistribution, params: FBetaParams = FBetaParams()) -> np.ndarray:
@@ -166,26 +181,17 @@ def bayes_classifier(dist: DiscreteDistribution, params: FBetaParams = FBetaPara
     return (dist.eta > theta).astype(np.int64)
 
 
-def excess_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParams(),
-                 mode: str = "direct") -> float:
-    """Optimality gap of g, by direct subtraction or the weighted-disagreement
-    identity (both agree to float precision on discrete laws)."""
+def excess_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParams()) -> float:
+    """Optimality gap F_b(g*) - F_b(g) by the weighted-disagreement identity
+    (``lemma1_excess``)."""
     bits = as_bits(dist, g)
-    if mode == "direct":
-        best = population_fbeta(dist, bayes_classifier(dist, params), params)
-        return best - population_fbeta(dist, bits, params)
-    if mode == "lemma1":
-        theta = bayes_threshold(dist, params)
-        value = lemma1_excess(dist.mass, np.abs(dist.eta - theta),
-                              dist.eta > theta, bits, params.b2, dist.p_y1)
-        if not params.normalized:
-            value *= 1.0 + params.b2
-        return value
-    raise ValueError(f"unknown mode {mode!r}")
+    theta = bayes_threshold(dist, params)
+    return lemma1_excess(dist.mass, np.abs(dist.eta - theta), dist.eta > theta,
+                         bits, params.b2, dist.p_y1)
 
 
 def lemma1_excess(mass, gap, star, bits, b2: float, p_y1: float) -> float:
-    """Normalized excess F_b(g*) - F_b(g) by the weighted-disagreement
+    """Excess F_b(g*) - F_b(g) by the weighted-disagreement
     identity (Lemma 1):
 
         sum_i mass_i |eta_i - theta*| 1{g_i != g*_i} / (b^2 P(Y=1) + P(g = 1))

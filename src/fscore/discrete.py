@@ -50,14 +50,10 @@ def frozen_array(values, ndim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FBetaParams:
-    """Trade-off parameter of the F_b score.
-
-    When ``normalized`` is true (the default) scores are divided by (1 + b^2),
-    so every score lives in [0, 1/(1+b^2)].
-    """
+    """Trade-off parameter b of the F_b score; every score lives in
+    [0, 1/(1+b^2)]."""
 
     b: float = 1.0
-    normalized: bool = True
 
     def __post_init__(self):
         # a string, a boolean or an int past the float range is no b; b * b
@@ -79,7 +75,7 @@ class FBetaParams:
 
     @property
     def score_cap(self) -> float:
-        """Maximum achievable normalized score, 1/(1+b^2)."""
+        """Maximum achievable score, 1/(1+b^2)."""
         return 1.0 / (1.0 + self.b2)
 
 

@@ -8,6 +8,7 @@ the exact solvers.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -16,6 +17,7 @@ import numpy as np
 from .core import (bayes_classifier, bayes_threshold, excess_fbeta,
                    population_fbeta)
 from .discrete import DiscreteDistribution, FBetaParams, random_distribution
+from .estimators import _integer
 from .threshold import ScoreSample, empirical_threshold
 
 MAX_ENUM_POINTS = 20
@@ -42,8 +44,6 @@ def brute_force_optimum(dist: DiscreteDistribution,
     num = bits @ (dist.mass * dist.eta)
     den = params.b2 * dist.p_y1 + bits @ dist.mass
     scores = num / den
-    if not params.normalized:
-        scores = scores * (1.0 + params.b2)
     best = scores.max()
     winners = np.flatnonzero(scores == best)
     best_bits = min((tuple(int(b) for b in bits[i]) for i in winners))
@@ -55,8 +55,7 @@ def scan_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParams
     """Independent threshold localizer: dense sign-change scan plus bisection.
 
     Agrees with the exact solver within 2/grid_size."""
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 10^3")
+    grid_size = _integer(grid_size, "grid_size", 1000)
     # O(K log K + grid) evaluator of the defining map: sort the eta values
     # once, then read the positive-part sum off suffix sums per grid point.
     order = np.argsort(dist.eta)
@@ -93,8 +92,8 @@ def scan_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParams
 def solve_threshold_bisect(values, weights, b: float = 1.0, tol: float = 1e-12) -> float:
     """Bisection solver for the same root, an independent cross-check of
     ``core.solve_threshold``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):  # a NaN tol would run no bisection
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     values = np.asarray(values, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
     s = float(weights @ values)
@@ -145,15 +144,15 @@ def randomized_identity_suite(trials: int, seed: int = 0,
     """Randomized cross-check of the exact machinery.
 
     Per trial: (a) brute-force optimum equals the thresholded classifier's
-    score to 1e-12, (b) direct excess equals the weighted-disagreement form
-    to 1e-12 for a random classifier, (c) the empirical threshold from a
+    score to 1e-12, (b) the direct subtraction F_b(g*) - F_b(g) equals
+    ``excess_fbeta``, the weighted-disagreement form, to 1e-12 for a random
+    classifier, (c) the empirical threshold from a
     score sample drawn from the true eta law lands near theta* (sup-CDF
     concentration makes the stated bound deterministic up to an event of
     negligible probability).  Failing instances are serialized to
     ``out_dir`` for replay.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _integer(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     report = SuiteReport(trials=trials)
     errs_small, errs_large = [], []
@@ -174,8 +173,8 @@ def randomized_identity_suite(trials: int, seed: int = 0,
             _serialize_failure(out_dir, i, dist, record)
             continue
         g = rng.integers(0, 2, size=dist.size)
-        direct = excess_fbeta(dist, g, params, mode="direct")
-        lemma = excess_fbeta(dist, g, params, mode="lemma1")
+        direct = star_score - population_fbeta(dist, g, params)
+        lemma = excess_fbeta(dist, g, params)
         if abs(direct - lemma) <= 1e-12 and direct >= -1e-12:
             report.passes_excess_identity += 1
         else:

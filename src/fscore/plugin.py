@@ -8,6 +8,7 @@ use the strict rule 1{eta_hat(x) > theta_hat}.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,10 @@ class PluginClassifier:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a model file may carry any JSON value here
+        theta = self.theta_hat
+        if isinstance(theta, (bool, np.bool_)) or not isinstance(theta, numbers.Real):
+            raise ValueError(f"theta_hat must be a real number, got {theta!r}")
         cap = self.params.score_cap
         if not (0.0 <= self.theta_hat <= cap + 1e-12):
             raise ValueError(f"theta_hat {self.theta_hat!r} outside [0, {cap!r}]")
@@ -78,7 +83,6 @@ class PluginClassifier:
             "hyperparameters": self.eta_hat.hyperparameters,
             "theta_hat": self.theta_hat,
             "b": self.params.b,
-            "normalized": self.params.normalized,
             "provenance": self.provenance,
         }
         with open(f"{prefix}.json", "w") as fh:
@@ -93,7 +97,9 @@ class PluginClassifier:
         data = LabeledDataset.from_csv(f"{prefix}_data.csv")
         config = {"method": record["method"], **record["hyperparameters"]}
         eta_hat = fit_from_config(data, config)
-        params = FBetaParams(b=record["b"], normalized=record["normalized"])
+        # b is the one parameter read; older files carry a second key, which
+        # never changed a prediction
+        params = FBetaParams(b=record["b"])
         return cls(eta_hat=eta_hat, theta_hat=record["theta_hat"], params=params,
                    provenance=record.get("provenance", {}))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SCAN_CHUNK, ROOT_RESIDUAL_TOL, solve_threshold
+from .core import solve_threshold
 from .discrete import FBetaParams, frozen_array, require_finite
 
 
@@ -41,26 +41,16 @@ def empirical_threshold(sample: ScoreSample,
     """Root theta_hat of the empirical threshold equation on [0, 1/(1+b^2)].
 
     The root is exact and depends only on the multiset of scores: reordering
-    the sample returns the same float.  A residual above
-    (b^2 + 1) * ROOT_RESIDUAL_TOL raises ``ArithmeticError``.
+    the sample returns the same float.  ``solve_threshold`` checks it: a
+    residual above ROOT_RESIDUAL_TOL, per score, raises ``ArithmeticError``.
+    All-zero scores warn with ``DegenerateScoreSample`` and return 0.
     """
     values = sample.values
-    mean = float(values.mean())
-    if mean == 0.0:
+    if float(values.mean()) == 0.0:
         warnings.warn("all scores are zero; returning theta_hat = 0",
                       DegenerateScoreSample)
         return 0.0
-    theta = solve_threshold(values, b=params.b)
-    positive = 0.0  # sum of (s - theta)_+, one chunk at a time
-    for start in range(0, values.size, _SCAN_CHUNK):
-        part = values[start:start + _SCAN_CHUNK] - theta
-        positive += float(np.maximum(part, 0.0, out=part).sum())
-    residual = params.b2 * theta * mean - positive / values.size
-    # b^2 + 1 bounds the slope of the equation
-    limit = (params.b2 + 1.0) * ROOT_RESIDUAL_TOL
-    if not abs(residual) <= limit + 1e-12:  # a NaN fails too
-        raise ArithmeticError(f"threshold residual {residual!r} exceeds {limit!r}")
-    return theta
+    return solve_threshold(values, b=params.b)
 
 
 def empirical_cdf(sample_values: np.ndarray):

@@ -75,8 +75,9 @@ def test_criterion_3_excess_identity(instances):
     failures = 0
     for dist in instances:
         g = rng.integers(0, 2, size=dist.size)
-        direct = fs.excess_fbeta(dist, g, params, mode="direct")
-        lemma = fs.excess_fbeta(dist, g, params, mode="lemma1")
+        direct = (fs.population_fbeta(dist, fs.bayes_classifier(dist, params), params)
+                  - fs.population_fbeta(dist, g, params))
+        lemma = fs.excess_fbeta(dist, g, params)
         if abs(direct - lemma) > 1e-12:
             failures += 1
     ok = failures == 0

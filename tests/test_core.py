@@ -65,6 +65,40 @@ def test_threshold_equation_signs():
                               d.eta, d.mass, 1.0)
     assert g[0] < 0 < g[2]
     assert abs(g[1]) < 1e-12
+    # the values are taken in chunks, _SCAN_CHUNK of them for one theta;
+    # the dense formula forms every (theta, value) pair at once
+    rng = np.random.default_rng(5)
+    theta = np.array([0.0, 0.2, 0.45])
+    for size in (_SCAN_CHUNK - 1, _SCAN_CHUNK + 1, 3 * _SCAN_CHUNK + 1):
+        values = rng.random(size)
+        for weights in (None, rng.random(size)):
+            w = np.ones(size) if weights is None else weights
+            dense = (4.0 * theta * float(w @ values)
+                     - np.clip(values[None, :] - theta[:, None], 0.0, None) @ w)
+            got = fs.threshold_equation(theta, values, weights, 2.0)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * size)
+            one = fs.threshold_equation(theta[1], values, weights, 2.0)
+            assert isinstance(one, float)
+            assert one == pytest.approx(dense[1], abs=1e-12 * size)
+
+
+def test_every_theta_root_is_checked(monkeypatch):
+    # a root off by 1e-3 leaves a residual far above ROOT_RESIDUAL_TOL at
+    # every caller of solve_threshold
+    from fscore import core, harness
+    family = fs.make_smooth_1d_family()
+    scan = core._segment_scan
+    monkeypatch.setattr(core, "_segment_scan",
+                        lambda v, w, b2: scan(v, w, b2) + 1e-3)
+    calls = [
+        lambda: fs.bayes_threshold(fs.uniform_eta_grid(10)),
+        lambda: fs.empirical_threshold(fs.ScoreSample(values=np.array([0.2, 0.7]))),
+        fs.make_two_point_family,
+        lambda: harness._Oracle(family, 1000, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ArithmeticError, match="residual"):
+            call()
 
 
 def test_degenerate_all_zero_scores():
@@ -191,20 +225,15 @@ def test_bayes_rule_dominates_random_rules(code):
 
 
 def test_excess_modes_agree():
+    # excess_fbeta (the weighted-disagreement identity) against the direct
+    # subtraction F_b(g*) - F_b(g)
     rng = np.random.default_rng(11)
     p = fs.FBetaParams(b=1.0)
     for _ in range(100):
         d = fs.random_distribution(rng)
         g = rng.integers(0, 2, size=d.size)
-        direct = fs.excess_fbeta(d, g, p, mode="direct")
-        lemma = fs.excess_fbeta(d, g, p, mode="lemma1")
+        direct = (fs.population_fbeta(d, fs.bayes_classifier(d, p), p)
+                  - fs.population_fbeta(d, g, p))
+        lemma = fs.excess_fbeta(d, g, p)
         assert direct == pytest.approx(lemma, abs=1e-12)
         assert direct >= -1e-12
-
-
-def test_unnormalized_scaling():
-    d = two_point()
-    g = np.array([1, 0])
-    norm = fs.population_fbeta(d, g, fs.FBetaParams(b=1.0, normalized=True))
-    raw = fs.population_fbeta(d, g, fs.FBetaParams(b=1.0, normalized=False))
-    assert raw == pytest.approx(2.0 * norm, abs=1e-14)

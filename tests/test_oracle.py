@@ -43,6 +43,11 @@ def test_scan_threshold_grid_floor():
     d = fs.uniform_eta_grid(8)
     with pytest.raises(ValueError):
         fs.scan_threshold(d, grid_size=10)
+    for bad in (1000.5, True, "1000"):
+        with pytest.raises(ValueError, match="grid_size"):
+            fs.scan_threshold(d, grid_size=bad)
+    # an integral float is a grid size
+    assert fs.scan_threshold(d, grid_size=1e6) == fs.scan_threshold(d, grid_size=10 ** 6)
 
 
 def test_suite_clean_run(tmp_path):
@@ -59,3 +64,6 @@ def test_suite_clean_run(tmp_path):
 def test_suite_rejects_zero_trials(tmp_path):
     with pytest.raises(ValueError):
         fs.randomized_identity_suite(0, out_dir=str(tmp_path))
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(ValueError, match="trials"):
+            fs.randomized_identity_suite(bad, out_dir=str(tmp_path))

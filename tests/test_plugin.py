@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,21 @@ def test_save_load_round_trip(tmp_path):
     assert back.theta_hat == clf.theta_hat
     grid = np.linspace(0, 1, 50).reshape(-1, 1)
     np.testing.assert_array_equal(back.predict(grid), clf.predict(grid))
+    with open(f"{prefix}.json") as fh:
+        record = json.load(fh)
+    assert "normalized" not in record
+    # a model file written while FBetaParams had a second field still loads
+    record["normalized"] = True
+    with open(f"{prefix}.json", "w") as fh:
+        json.dump(record, fh)
+    back = fs.PluginClassifier.load(prefix)
+    assert back.theta_hat == clf.theta_hat
+    np.testing.assert_array_equal(back.predict(grid), clf.predict(grid))
+    record["theta_hat"] = "0.3"
+    with open(f"{prefix}.json", "w") as fh:
+        json.dump(record, fh)
+    with pytest.raises(ValueError, match="theta_hat"):
+        fs.PluginClassifier.load(prefix)
 
 
 def test_theta_hat_validation():
@@ -83,6 +99,10 @@ def test_theta_hat_validation():
     with pytest.raises(ValueError):
         fs.PluginClassifier(eta_hat=clf.eta_hat, theta_hat=0.9,
                             params=fs.FBetaParams(b=1.0))
+    for bad in ("0.3", True, np.bool_(False), None, [0.3]):
+        with pytest.raises(ValueError, match="theta_hat"):
+            fs.PluginClassifier(eta_hat=clf.eta_hat, theta_hat=bad,
+                                params=fs.FBetaParams(b=1.0))
 
 
 def test_dimension_mismatch_rejected():

@@ -31,8 +31,12 @@ def test_empty_sample_rejected():
 
 
 def test_nonpositive_tol_rejected():
-    with pytest.raises(ValueError):
-        fs.solve_threshold_bisect(np.array([0.5]), np.array([1.0]), tol=0.0)
+    # a NaN tol ran no bisection: on uniform_eta_grid(50) it returned the
+    # midpoint 0.25 of [0, 1/2], where theta* = 0.382
+    d = fs.uniform_eta_grid(50)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            fs.solve_threshold_bisect(d.eta, d.mass, tol=tol)
 
 
 def test_bisect_matches_exact_within_tol():
@@ -128,11 +132,10 @@ def test_gap_bound_controls_threshold_error():
 
 
 def test_nan_residual_fails_the_check(monkeypatch):
-    # `abs(residual) > limit` is False for a NaN residual, which let a NaN
-    # root through both residual checks
-    from fscore import core, threshold
-    for module in (core, threshold):
-        monkeypatch.setattr(module, "solve_threshold", lambda *a, **k: np.nan)
+    # `abs(residual) > limit` is False for a NaN residual, which would let a
+    # NaN root through the residual check of solve_threshold
+    from fscore import core
+    monkeypatch.setattr(core, "_segment_scan", lambda *a, **k: np.nan)
     with pytest.raises(ArithmeticError, match="residual"):
         fs.bayes_threshold(fs.uniform_eta_grid(10))
     with pytest.raises(ArithmeticError, match="residual"):
