@@ -1,8 +1,10 @@
 """Command-line entry point.
 
-Subcommands: rate, threshold, dkw, oracle-suite, train, predict.  Experiment
-subcommands read an optional JSON config file and accept flag overrides;
-failures exit nonzero after printing a machine-readable JSON error record.
+Subcommands: rate, dkw, oracle-suite, train, predict.  ``rate`` runs one
+pass of the experiment and writes both of its curves, the excess score and
+the threshold error.  The experiment subcommands read an optional JSON config
+file and accept flag overrides; failures exit nonzero after printing a
+machine-readable JSON error record.
 """
 
 from __future__ import annotations
@@ -35,22 +37,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "model training")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, doc in (("rate", "excess-score convergence experiment"),
-                      ("threshold", "threshold-error convergence experiment")):
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--n-grid", help="comma-separated labeled sample sizes")
-        p.add_argument("--reps", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--family",
-                       help="smooth | constant | two_point | hard")
-        p.add_argument("--estimator", help="kernel | knn | local_poly, or a "
-                                           "JSON object with hyperparameters")
-        p.add_argument("--b", type=float)
-        p.add_argument("--n-rule", help='"n", "n2" or a fixed integer')
-        p.add_argument("--format", default="csv",
-                       choices=["csv", "json", "svg-plot"])
-        p.add_argument("--out", default="reports")
+    p = sub.add_parser("rate", help="excess-score and threshold-error "
+                                    "convergence experiment")
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--n-grid", help="comma-separated labeled sample sizes")
+    p.add_argument("--reps", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--family", help="smooth | constant | two_point | hard")
+    p.add_argument("--estimator", help="kernel | knn | local_poly, or a "
+                                       "JSON object with hyperparameters")
+    p.add_argument("--b", type=float)
+    p.add_argument("--n-rule", help='"n", "n2" or a fixed integer')
+    p.add_argument("--format", default="csv",
+                   choices=["csv", "json", "svg-plot"])
+    p.add_argument("--out", default="reports")
 
     p = sub.add_parser("dkw", help="sup-CDF concentration check")
     p.add_argument("--config", help="JSON config file")
@@ -70,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a plug-in classifier from CSV data")
     p.add_argument("--labeled", required=True, help="CSV with x_1..x_d,y")
-    p.add_argument("--unlabeled", help="CSV with x_1..x_d (optional; the "
-                                       "labeled features are reused if absent)")
+    p.add_argument("--unlabeled", required=True,
+                   help="CSV with x_1..x_d: the points theta_hat is "
+                        "calibrated on")
     p.add_argument("--estimator", default="kernel")
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--out", required=True, help="model file prefix")
@@ -148,13 +149,12 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _run(args) -> int:
-    if args.command in ("rate", "threshold"):
-        cfg = _experiment_config(args)
-        result = run_experiment(cfg)[0 if args.command == "rate" else 1]
-        paths = emit_report(result, args.format, args.out)
-        summary = asdict(result)
-        summary["written"] = paths
-        _print_json(summary)
+    if args.command == "rate":
+        excess, threshold = run_experiment(_experiment_config(args))
+        paths = [path for result in (excess, threshold)
+                 for path in emit_report(result, args.format, args.out)]
+        _print_json({"excess": asdict(excess), "threshold": asdict(threshold),
+                     "written": paths})
         return 0
     if args.command == "dkw":
         cfg = _with_flags({**_DKW_DEFAULTS, **_load_config(args.config)}, args,
@@ -164,7 +164,7 @@ def _run(args) -> int:
                              _number_list(cfg["t_values"], "t_values"),
                              _number(cfg["reps"], "reps"),
                              seed=_number(cfg["seed"], "seed"))
-        paths = emit_report(rows, args.format, args.out, stem="dkw")
+        paths = emit_report(rows, args.format, args.out)
         _print_json({"rows": rows, "written": paths})
         return 0
     if args.command == "oracle-suite":
@@ -183,13 +183,9 @@ def _run(args) -> int:
         })
         return 0 if report.ok else 1
     if args.command == "train":
-        labeled = LabeledDataset.from_csv(args.labeled)
-        if args.unlabeled:
-            unlabeled = UnlabeledDataset.from_csv(args.unlabeled)
-        else:
-            unlabeled = UnlabeledDataset(points=labeled.points)
-        clf = train_plugin(labeled, unlabeled, _parse_estimator(args.estimator),
-                           FBetaParams(b=args.b))
+        clf = train_plugin(LabeledDataset.from_csv(args.labeled),
+                           UnlabeledDataset.from_csv(args.unlabeled),
+                           _parse_estimator(args.estimator), FBetaParams(b=args.b))
         clf.save(args.out)
         _print_json({"theta_hat": clf.theta_hat,
                      "provenance": clf.provenance, "model": args.out})

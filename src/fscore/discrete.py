@@ -28,23 +28,28 @@ def require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name}: row {int(np.argmin(rows))} is not finite")
 
 
-def frozen_array(values, ndim: int) -> np.ndarray:
-    """``values`` as a read-only float64 array, raveled (``ndim`` 1) or at
-    least two-dimensional (``ndim`` 2).
+def frozen_array(values, ndim: int, name: str) -> np.ndarray:
+    """``values`` as a read-only, finite float64 array, raveled (``ndim`` 1)
+    or at least two-dimensional (``ndim`` 2).  An input of more than two
+    dimensions, or one that holds a NaN or an infinity, raises a ValueError
+    that names ``name``.
 
     An input that already is a read-only, C-contiguous float64 ndarray with
-    ``ndim`` dimensions is returned as it is: whoever froze it will not write
+    ``ndim`` dimensions is held as it is: whoever froze it will not write
     to it.  Any other input becomes a frozen copy, so that freezing it leaves
-    the caller's array writeable.  Nothing is checked here; callers check the
-    values either way.
+    the caller's array writeable.
     """
     if (type(values) is np.ndarray and values.dtype == np.float64
             and values.ndim == ndim and not values.flags.writeable
             and values.flags.c_contiguous):
-        return values
-    arr = np.array(values, dtype=float)
-    arr = arr.ravel() if ndim == 1 else np.atleast_2d(arr)
-    arr.setflags(write=False)
+        arr = values
+    else:
+        arr = np.array(values, dtype=float)
+        if arr.ndim > 2:
+            raise ValueError(f"{name} must be at most 2-d, got shape {arr.shape}")
+        arr = arr.ravel() if ndim == 1 else np.atleast_2d(arr)
+        arr.setflags(write=False)
+    require_finite(arr, name)
     return arr
 
 
@@ -88,12 +93,10 @@ class DiscreteDistribution:
     eta: np.ndarray      # (K,)
 
     def __post_init__(self):
-        support = frozen_array(self.support, 2)
-        mass = frozen_array(self.mass, 1)
-        eta = frozen_array(self.eta, 1)
-        # first, as a NaN passes every comparison below
-        for name, arr in (("support", support), ("mass", mass), ("eta", eta)):
-            require_finite(arr, name)
+        # finite first, as a NaN passes every comparison below
+        support = frozen_array(self.support, 2, "support")
+        mass = frozen_array(self.mass, 1, "mass")
+        eta = frozen_array(self.eta, 1, "eta")
         if support.shape[0] != mass.size or mass.size != eta.size:
             raise ValueError("support, mass and eta must have equal length")
         if mass.size < 1:
@@ -154,16 +157,17 @@ def as_bits(dist: DiscreteDistribution, g) -> np.ndarray:
     return as_int
 
 
-def random_distribution(rng: np.random.Generator, k_max: int = 12,
-                        min_p_y1: float = 1e-3, d: int = 1) -> DiscreteDistribution:
-    """Random small instance: Dirichlet masses, Uniform etas, P(Y=1) > min_p_y1."""
+def random_distribution(rng: np.random.Generator,
+                        k_max: int = 12) -> DiscreteDistribution:
+    """Random small instance on 1-d support points: Dirichlet masses,
+    Uniform etas, P(Y=1) > 1e-3."""
     while True:
         k = int(rng.integers(1, k_max + 1))
         mass = rng.dirichlet(np.ones(k))
         mass = mass / mass.sum()
         eta = rng.uniform(0.0, 1.0, size=k)
-        if float(mass @ eta) > min_p_y1 and abs(mass.sum() - 1.0) <= MASS_TOL:
-            support = rng.uniform(0.0, 1.0, size=(k, d))
+        if float(mass @ eta) > 1e-3 and abs(mass.sum() - 1.0) <= MASS_TOL:
+            support = rng.uniform(0.0, 1.0, size=(k, 1))
             return DiscreteDistribution(support=support, mass=mass, eta=eta)
 
 

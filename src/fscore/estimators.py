@@ -43,11 +43,10 @@ class LabeledDataset:
     labels: np.ndarray  # (n,) in {0, 1}
 
     def __post_init__(self):
-        points = frozen_array(self.points, 2)
-        labels = frozen_array(self.labels, 1)
+        points = frozen_array(self.points, 2, "labeled dataset")
+        labels = frozen_array(self.labels, 1, "labels")
         if points.shape[0] != labels.size or labels.size == 0:
             raise ValueError("points and labels must be nonempty and equal length")
-        require_finite(points, "labeled dataset")
         if np.any((labels != 0) & (labels != 1)):
             raise ValueError("labels must be binary")
         object.__setattr__(self, "points", points)

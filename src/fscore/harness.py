@@ -52,7 +52,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         for name, least in (("reps", 1), ("seed", 0), ("oracle_atoms", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, least))
-        FBetaParams(b=self.b)  # b must be positive, with b * b finite
+        # b must be positive, with b * b finite; held as a Python number
+        object.__setattr__(self, "b", FBetaParams(b=self.b).b)
         rule = self.n_rule
         fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
         if rule not in ("n", "n2") and not (fixed and rule >= 1):
@@ -210,17 +211,14 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
         raise ValueError(f"t_values must be nonempty, finite and positive, got {t_values}")
     rng = np.random.default_rng(seed)
     rows = []
-    sups = {}
     for n in N_values:
         devs = np.empty(reps)
+        i = np.arange(1, n + 1)
         for r in range(reps):
             u = np.sort(rng.random(n))
-            i = np.arange(1, n + 1)
             devs[r] = max((i / n - u).max(), (u - (i - 1) / n).max())
-        sups[n] = devs
-    for n in N_values:
         for t in t_values:
-            freq = float(np.mean(sups[n] >= t))
+            freq = float(np.mean(devs >= t))
             bound = 2.0 * math.exp(-2.0 * n * t * t)
             se = math.sqrt(freq * (1.0 - freq) / reps)
             rows.append({"N": n, "t": t, "frequency": freq,
@@ -248,13 +246,13 @@ def strict_json(obj):
     return obj
 
 
-def emit_report(result, fmt: str, out_dir: str, stem: str | None = None) -> list:
+def emit_report(result, fmt: str, out_dir: str) -> list:
     """Write the result in the requested format; returns the written paths.
 
-    ``result`` is a RateFitResult (csv: the per-n table and the fit row;
-    json; svg-plot) or a DKW table, a list of row dicts (csv; json).  JSON
-    holds null for a non-finite number.  Identical inputs produce
-    byte-identical files.
+    ``result`` is a RateFitResult, written as ``<kind>_rate`` (csv: the per-n
+    table and the fit row; json; svg-plot), or a DKW table, a list of row
+    dicts, written as ``dkw`` (csv; json).  JSON holds null for a non-finite
+    number.  Identical inputs produce byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
     rate = isinstance(result, RateFitResult)
@@ -262,7 +260,7 @@ def emit_report(result, fmt: str, out_dir: str, stem: str | None = None) -> list
         raise ValueError(f"unknown format {fmt!r}"
                          + ("" if rate else " for table results"))
     rows = result.rows if rate else list(result)
-    base = os.path.join(out_dir, stem or (f"{result.kind}_rate" if rate else "dkw"))
+    base = os.path.join(out_dir, f"{result.kind}_rate" if rate else "dkw")
     if fmt == "json":
         with open(f"{base}.json", "w") as fh:
             json.dump(strict_json(asdict(result) if rate else rows), fh,
@@ -284,7 +282,8 @@ def _write_csv(path, rows, columns):
     write_table(path, columns, [[row[c] for row in rows] for c in columns])
 
 
-def _rate_svg(result: RateFitResult, width: int = 640, height: int = 480) -> str:
+def _rate_svg(result: RateFitResult) -> str:
+    width, height = 640, 480
     rows = [r for r in result.rows if r["mean"] > 0]
     xs = [math.log(r["n"]) for r in rows]
     ys = [math.log(r["mean"]) for r in rows]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import FBetaParams, frozen_array, require_finite
+from .discrete import FBetaParams, frozen_array
 from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
                          LocalPolyEstimate, fit_from_config)
 from .table import read_table, write_table
@@ -33,8 +33,7 @@ class UnlabeledDataset:
         points = self.points
         if np.size(points) == 0:
             points = np.empty((0, np.shape(points)[1] if np.ndim(points) == 2 else 1))
-        points = frozen_array(points, 2)
-        require_finite(points, "unlabeled dataset")
+        points = frozen_array(points, 2, "unlabeled dataset")
         object.__setattr__(self, "points", points)
 
     @property

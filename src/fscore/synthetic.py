@@ -68,7 +68,6 @@ def bump_v(t) -> np.ndarray:
 class AnalyticDistribution:
     """A law of (X, Y) with closed-form eta and a known optimal threshold."""
 
-    name: str
     d: int
     eta: Callable  # (k, d) array -> (k,) array
     theta_star: float
@@ -122,8 +121,7 @@ def _unit_interval_family(eta_flat: Callable, **fields) -> AnalyticDistribution:
 def sample(dist: AnalyticDistribution, n: int, seed, labeled: bool = True):
     """Draw n i.i.d. copies; X from the marginal, Y ~ Bernoulli(eta(X)).
     ``seed`` may be a Generator, which is used and advanced in place."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _integer(n, "n", 1)
     rng = np.random.default_rng(seed)
     x = np.asarray(dist.sampler(rng, n), dtype=float).reshape(n, dist.d)
     if not labeled:
@@ -158,16 +156,14 @@ def verify_margin(dist: AnalyticDistribution, delta_grid) -> MarginReport:
     return MarginReport(deltas=deltas, probabilities=probs, exponent=exponent)
 
 
-def verify_strong_density(dist: AnalyticDistribution, n_scan: int = 50_000,
-                          seed: int = 0) -> dict:
-    """Scan the density over sampled support points; report its observed
-    min and max and the set of distinct levels."""
+def verify_strong_density(dist: AnalyticDistribution) -> dict:
+    """Scan the density over 50 000 support points drawn with seed 0; report
+    its observed min and max and the set of distinct levels."""
     report: dict = {"has_density": dist.density is not None}
     if dist.density is None:
         report["note"] = "no Lebesgue density declared (atomic marginal)"
         return report
-    rng = np.random.default_rng(seed)
-    x = np.asarray(dist.sampler(rng, n_scan), dtype=float).reshape(n_scan, dist.d)
+    x = sample(dist, 50_000, 0, labeled=False).points
     mu = np.asarray(dist.density(x), dtype=float)
     report["mu_min_observed"] = float(mu.min())
     report["mu_max_observed"] = float(mu.max())
@@ -226,7 +222,7 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
                    for cap, w in ((1.0 - level, 1.0 - x0), (level, x0)))
 
     family = _unit_interval_family(
-        eta_flat, name="smooth_1d", theta_star=level,
+        eta_flat, theta_star=level,
         margin=MarginSpec(alpha=alpha_target),
         smoothness=SmoothnessSpec(beta=min(beta, exponent, 1.0)),
         margin_probabilities=margin_probabilities,
@@ -245,8 +241,8 @@ def make_constant_family(eta_value: float = 0.5) -> AnalyticDistribution:
         raise ConstructionError("eta_value must lie in (0, 1]")
     theta_star = float(solve_threshold(np.array([eta_value]), np.array([1.0]), 1.0))
     return _unit_interval_family(
-        lambda x: np.full(x.size, eta_value), name="constant",
-        theta_star=theta_star, margin=MarginSpec(alpha=math.inf),
+        lambda x: np.full(x.size, eta_value), theta_star=theta_star,
+        margin=MarginSpec(alpha=math.inf),
         margin_probabilities=_step_margin([abs(eta_value - theta_star)], [1.0]),
     )
 
@@ -263,7 +259,7 @@ def make_two_point_family(eta_low: float = 0.1, eta_high: float = 0.9) -> Analyt
                         eta_high, eta_low)
 
     return AnalyticDistribution(
-        name="two_point", d=1, eta=eta_fn, theta_star=float(theta_star),
+        d=1, eta=eta_fn, theta_star=float(theta_star),
         sampler=lambda rng, n: rng.integers(0, 2, size=n).astype(float)[:, None],
         discretize=lambda n_atoms, seed=0: atoms,
         margin=MarginSpec(alpha=math.inf),
@@ -310,13 +306,13 @@ def _ball_volume(d: int, r: float) -> float:
 
 
 @functools.cache
-def _holder_seminorm(profile: Callable, beta: float, n_grid: int = 160) -> float:
-    """Largest pairwise ratio |f(s) - f(t)| / |s - t|^beta of a profile on an
-    ``n_grid``-point grid over [0, 1]: its numeric Holder-beta seminorm.
+def _holder_seminorm(profile: Callable, beta: float) -> float:
+    """Largest pairwise ratio |f(s) - f(t)| / |s - t|^beta of a profile on a
+    160-point grid over [0, 1]: its numeric Holder-beta seminorm.
     Rescaled, c * f((r - r0) / s) has seminorm c * s^-beta times this."""
-    r = np.linspace(0.0, 1.0, n_grid)
+    r = np.linspace(0.0, 1.0, 160)
     f = np.asarray(profile(r), dtype=float)
-    i, j = np.triu_indices(n_grid, k=1)
+    i, j = np.triu_indices(r.size, k=1)
     return float(np.max(np.abs(f[i] - f[j]) / (r[j] - r[i]) ** beta))
 
 
@@ -449,7 +445,7 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
         raise ConstructionError(f"pinned threshold check failed: {theta_check!r}")
 
     return AnalyticDistribution(
-        name="hard", d=d, eta=eta_fn, theta_star=0.25, sampler=sampler,
+        d=d, eta=eta_fn, theta_star=0.25, sampler=sampler,
         discretize=discretize, density=density,
         margin=None,  # the exponent depends on how m, w scale with n
         smoothness=SmoothnessSpec(beta=beta),
@@ -462,19 +458,20 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
     )
 
 
-def hard_family_rate_params(n: int, beta: float, d: int, alpha: float,
-                            cbar: float = 1.0, cprime: float = 1.0,
-                            cdouble: float = 1.0) -> HardFamilyParams:
-    """Rate-scaled construction parameters q, w, m for a labeled-sample size.
+def hard_family_rate_params(n: int, beta: float, d: int,
+                            alpha: float) -> HardFamilyParams:
+    """Rate-scaled construction parameters for a labeled-sample size n >= 1:
+    q = n^(1/(2 beta + d)), m = q^(d - alpha beta) and w = q^-d, each
+    truncated and clamped so the parameter invariants hold at small n.
 
-    Valid only when alpha * beta <= d; the constants default to 1 and are
-    clamped so the parameter invariants hold at small n."""
+    Valid only when alpha * beta <= d."""
+    n = _integer(n, "n", 1)
     if alpha * beta > d:
         raise ConstructionError("rate-scaled parameters require alpha*beta <= d")
-    q = max(2, int(cbar * n ** (1.0 / (2.0 * beta + d))))
-    m = max(1, int(cdouble * q ** (d - alpha * beta)))
+    q = max(2, int(n ** (1.0 / (2.0 * beta + d))))
+    m = max(1, int(q ** (d - alpha * beta)))
     m = min(m, q ** d - 1)
-    w = cprime * q ** (-float(d))
+    w = q ** (-float(d))
     # at m w = 4/9, tau = 1 - 16 b'/3 lies in (1/4, 1] for every b' <= 1/8
     w = min(w, 4.0 / (9.0 * m))
     return HardFamilyParams(d=d, beta=beta, q=q, m=m, w=w)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import solve_threshold
-from .discrete import FBetaParams, frozen_array, require_finite
+from .discrete import FBetaParams, frozen_array
 
 
 class DegenerateScoreSample(UserWarning):
@@ -27,10 +27,9 @@ class ScoreSample:
     values: np.ndarray
 
     def __post_init__(self):
-        values = frozen_array(self.values, 1)
+        values = frozen_array(self.values, 1, "score sample")
         if values.size == 0:
             raise ValueError("score sample must be nonempty")
-        require_finite(values, "score sample")
         if np.any(values < 0) or np.any(values > 1):
             raise ValueError("scores must lie in [0, 1]")
         object.__setattr__(self, "values", values)
@@ -65,36 +64,31 @@ def empirical_cdf(sample_values: np.ndarray):
 
 
 def cdf_gap_bound(true_eta_cdf, sample: ScoreSample, p_y1: float,
-                  breakpoints=None, tol: float = 1e-8) -> float:
+                  breakpoints=None) -> float:
     """Upper bound on |theta_hat - theta*| (b = 1) from the L1 gap between
     the true CDF of eta and the empirical CDF of the scores.
 
-    With ``breakpoints`` (jump locations of a discrete true law) the integrand
-    is piecewise constant between merged breakpoints and the integral is
-    exact; otherwise each inter-sample segment is handled by quadrature.
+    The integral runs over the segments between the sorted scores, 0, 1 and
+    any ``breakpoints``.  With ``breakpoints`` (jump locations of a discrete
+    true law) both CDFs are constant on each segment and the midpoint value
+    times the width is exact; otherwise each segment is integrated by
+    quadrature, to 1e-8 in total.
     """
     if p_y1 <= 0:
         raise ValueError("p_y1 must be positive")
+    if breakpoints is None:
+        from scipy.integrate import quad
     emp = empirical_cdf(sample.values)
-    if breakpoints is not None:
-        knots = np.unique(np.concatenate(
-            [np.asarray(breakpoints, dtype=float).ravel(), sample.values, [0.0, 1.0]]))
-        knots = knots[(knots >= 0.0) & (knots <= 1.0)]
-        total = 0.0
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            mid = 0.5 * (lo + hi)
-            total += abs(float(true_eta_cdf(mid)) - float(emp(mid))) * (hi - lo)
-        return total / p_y1
-    from scipy.integrate import quad
-
-    knots = np.unique(np.concatenate([sample.values, [0.0, 1.0]]))
+    extra = [] if breakpoints is None else np.asarray(breakpoints, dtype=float).ravel()
+    knots = np.unique(np.concatenate([extra, sample.values, [0.0, 1.0]]))
     knots = knots[(knots >= 0.0) & (knots <= 1.0)]
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        if hi <= lo:
-            continue
-        level = float(emp(0.5 * (lo + hi)))
-        piece, _ = quad(lambda t: abs(float(true_eta_cdf(t)) - level), lo, hi,
-                        epsabs=tol / max(len(knots) - 1, 1), limit=200)
-        total += piece
+        mid = 0.5 * (lo + hi)
+        level = float(emp(mid))
+        if breakpoints is not None:
+            total += abs(float(true_eta_cdf(mid)) - level) * (hi - lo)
+        else:
+            total += quad(lambda t: abs(float(true_eta_cdf(t)) - level), lo, hi,
+                          epsabs=1e-8 / max(len(knots) - 1, 1), limit=200)[0]
     return total / p_y1

@@ -14,26 +14,25 @@ def run_cli(capsys, *argv):
 
 
 def test_rate_subcommand(tmp_path, capsys):
-    out = str(tmp_path / "rep")
+    # one run writes both curves of its one pass
+    out = tmp_path / "rep"
     code, stdout, _ = run_cli(capsys, "rate", "--n-grid", "200,400",
-                              "--reps", "3", "--seed", "1", "--out", out,
-                              "--format", "csv")
+                              "--reps", "3", "--seed", "1", "--out", str(out),
+                              "--format", "json")
     assert code == 0
     record = json.loads(stdout)
-    assert len(record["rows"]) == 2
-    assert (tmp_path / "rep" / "excess_rate.csv").exists()
-
-
-def test_threshold_subcommand(tmp_path, capsys):
-    code, stdout, _ = run_cli(capsys, "threshold", "--n-grid", "200,400",
-                              "--reps", "3", "--seed", "1",
-                              "--out", str(tmp_path), "--format", "json")
-    assert code == 0
-    assert json.loads(stdout)["kind"] == "threshold"
-    with open(tmp_path / "threshold_rate.json") as fh:
-        rows = json.load(fh)["rows"]
-    cfg = fs.ExperimentConfig(n_grid=(200, 400), reps=3, seed=1)
-    assert rows == fs.run_experiment(cfg)[1].rows
+    assert (record["excess"]["kind"], record["threshold"]["kind"]) == (
+        "excess", "threshold")
+    assert record["written"] == [str(out / "excess_rate.json"),
+                                 str(out / "threshold_rate.json")]
+    excess, threshold = fs.run_experiment(
+        fs.ExperimentConfig(n_grid=(200, 400), reps=3, seed=1))
+    for name, result in (("excess", excess), ("threshold", threshold)):
+        with open(out / f"{name}_rate.json") as fh:
+            assert json.load(fh)["rows"] == result.rows
+        assert record[name]["rows"] == result.rows
+    assert sorted(p.name for p in out.iterdir()) == ["excess_rate.json",
+                                                     "threshold_rate.json"]
 
 
 def test_config_file_with_overrides(tmp_path, capsys):
@@ -43,7 +42,7 @@ def test_config_file_with_overrides(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "rate", "--config", str(cfg),
                               "--reps", "3", "--out", str(tmp_path / "o"))
     assert code == 0
-    record = json.loads(stdout)
+    record = json.loads(stdout)["excess"]
     assert record["config"]["reps"] == 3  # flag wins over file
     assert record["config"]["estimator"]["method"] == "knn"
 
@@ -139,22 +138,36 @@ def test_train_predict_round_trip(tmp_path, capsys):
 def test_train_rejects_invalid_hyperparameters(tmp_path, capsys):
     fam = fs.make_smooth_1d_family()
     fs.sample(fam, 100, seed=1, labeled=True).to_csv(tmp_path / "lab.csv")
+    fs.sample(fam, 100, seed=2, labeled=False).to_csv(tmp_path / "unl.csv")
+    data = ("--labeled", str(tmp_path / "lab.csv"),
+            "--unlabeled", str(tmp_path / "unl.csv"))
     for estimator, field in (('{"method": "knn", "k": 2.7}', "k"),
                              ('{"method": "knn", "k": true}', "k"),
                              ('{"method": "local_poly", "degree": 1.5}', "degree"),
                              ('{"method": "kernel", "h": NaN}', "h")):
-        code, _, stderr = run_cli(capsys, "train", "--labeled",
-                                  str(tmp_path / "lab.csv"), "--estimator",
+        code, _, stderr = run_cli(capsys, "train", *data, "--estimator",
                                   estimator, "--out", str(tmp_path / "model"))
         record = json.loads(stderr)
         assert code == 2 and record["error"] == "ValueError"
         assert record["message"].startswith(("k ", "degree ", "bandwidth h "))
         assert f"{field} must" in record["message"]
-    code, _, stderr = run_cli(capsys, "train", "--labeled", str(tmp_path / "lab.csv"),
-                              "--b", "inf", "--out", str(tmp_path / "model"))
+    code, _, stderr = run_cli(capsys, "train", *data, "--b", "inf",
+                              "--out", str(tmp_path / "model"))
     record = json.loads(stderr)
     assert code == 2 and record["error"] == "ValueError"
     assert "b must" in record["message"]
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_train_requires_unlabeled(tmp_path, capsys):
+    # theta_hat is calibrated on unlabeled points only, never on the
+    # features that eta_hat was fitted on
+    fs.sample(fs.make_smooth_1d_family(), 100, seed=1).to_csv(tmp_path / "lab.csv")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--labeled", str(tmp_path / "lab.csv"),
+              "--out", str(tmp_path / "model")])
+    assert exit_info.value.code == 2
+    assert "--unlabeled" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
 
 
@@ -219,7 +232,7 @@ def test_rate_report_and_summary_are_strict_json(tmp_path, capsys):
                               "--n-grid", "100,200", "--reps", "3",
                               "--format", "json", "--out", str(tmp_path))
     assert code == 0
-    summary = json.loads(stdout, parse_constant=_reject_constant)
+    summary = json.loads(stdout, parse_constant=_reject_constant)["excess"]
     with open(tmp_path / "excess_rate.json") as fh:
         report = json.load(fh, parse_constant=_reject_constant)
     for record in (summary, report):

@@ -14,7 +14,7 @@ from fscore.table import read_table
 SMALL = dict(n_grid=(200, 400, 800), reps=5, seed=0, oracle_atoms=20_000)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(n_grid=(400, 200))
     with pytest.raises(ValueError):
@@ -45,6 +45,18 @@ def test_config_validation():
     assert cfg.n_grid == (500, 1000) and type(cfg.n_grid[0]) is int
     assert (cfg.reps, cfg.seed, cfg.oracle_atoms) == (5, 3, 1000)
     assert all(type(v) is int for v in (cfg.reps, cfg.seed, cfg.oracle_atoms))
+    # a numpy b is held as a Python float: float32 failed in the JSON report
+    # and squared to inf in float32, which the oracle solve turned into a NaN
+    cfg = ExperimentConfig(b=np.float32(1.0), family="constant", n_grid=(100, 200),
+                           reps=2, oracle_atoms=1000)
+    assert type(cfg.b) is float and cfg.b == 1.0
+    big = ExperimentConfig(b=np.float32(1e30), family="constant").b
+    assert type(big) is float and big == float(np.float32(1e30))
+    harness._Oracle(fs.make_constant_family(), 1000, big)
+    excess, _ = run_experiment(cfg)
+    (path,) = emit_report(excess, "json", str(tmp_path))
+    with open(path) as fh:
+        assert json.load(fh)["config"]["b"] == 1.0
 
 
 def test_n_rules():

@@ -203,6 +203,8 @@ def _trained_kernel_model():
 ENTRY_POINTS = {
     "labeled": lambda bad: LabeledDataset(points=np.array([[0.1], [bad]]),
                                           labels=np.array([0.0, 1.0])),
+    "labels": lambda bad: LabeledDataset(points=np.zeros((2, 1)),
+                                         labels=np.array([0.0, bad])),
     "unlabeled": lambda bad: fs.UnlabeledDataset(points=np.array([[0.1], [bad]])),
     "scores": lambda bad: fs.ScoreSample(values=np.array([0.1, bad])),
     "evaluate": lambda bad: _trained_kernel_model().eta_hat.evaluate(
@@ -216,3 +218,19 @@ ENTRY_POINTS = {
 def test_non_finite_input_rejected(entry, bad):
     with pytest.raises(ValueError, match="row 1 is not finite"):
         ENTRY_POINTS[entry](bad)
+
+
+THREE_D = {
+    "labeled dataset": lambda x: LabeledDataset(points=x, labels=np.zeros(2)),
+    "unlabeled dataset": lambda x: fs.UnlabeledDataset(points=x),
+    "support": lambda x: fs.DiscreteDistribution(
+        support=x, mass=np.full(2, 0.5), eta=np.full(2, 0.5)),
+    "score sample": lambda x: fs.ScoreSample(values=x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREE_D))
+def test_more_than_two_dimensions_rejected(name):
+    # a (2, 1, 1) array was accepted and failed later in numpy, naming no field
+    with pytest.raises(ValueError, match=f"^{name} must be at most 2-d"):
+        THREE_D[name](np.zeros((2, 1, 1)))

@@ -298,6 +298,21 @@ def test_hard_family_integer_params():
     assert fs.build_hard_family(p, seed=0).extras["params"].q == 8
 
 
+def test_sample_size_must_be_a_positive_integer():
+    # a fraction or a boolean failed inside numpy naming nothing, a negative
+    # n in the rate parameters raised about a complex number, and n = 0
+    # gave q = 2
+    fam = fs.make_constant_family()
+    for n in (2.5, True, 0, -5, "10"):
+        with pytest.raises(ValueError, match="^n must"):
+            fs.sample(fam, n, 0)
+        with pytest.raises(ValueError, match="^n must"):
+            fs.hard_family_rate_params(n, 1.0, 2, 1.0)
+    assert fs.sample(fam, 3.0, 0).n == 3
+    assert fs.hard_family_rate_params(2000.0, 1.0, 2, 1.0) == \
+        fs.hard_family_rate_params(2000, 1.0, 2, 1.0)
+
+
 def test_rate_params_helper():
     p = fs.hard_family_rate_params(2000, beta=1.0, d=1, alpha=1.0)
     assert p.q == int(2000 ** (1 / 3))

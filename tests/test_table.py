@@ -86,7 +86,7 @@ def test_dkw_table_csv_bytes(tmp_path):
     rows = [{"N": 100, "t": 0.05, "frequency": 0.5, "bound": 1.0, "se": 0.01},
             {"N": 1000, "t": 0.1, "frequency": 0.0, "bound": 4.122307244877116e-09,
              "se": 0.0}]
-    (path,) = emit_report(rows, "csv", str(tmp_path), stem="dkw")
+    (path,) = emit_report(rows, "csv", str(tmp_path))
     assert open(path, "rb").read() == (
         b"N,t,frequency,bound,se\r\n"
         b"100,0.05,0.5,1.0,0.01\r\n"
