@@ -31,8 +31,8 @@ def require_finite(values: np.ndarray, name: str) -> None:
 def frozen_array(values, ndim: int, name: str) -> np.ndarray:
     """``values`` as a read-only, finite float64 array, raveled (``ndim`` 1)
     or at least two-dimensional (``ndim`` 2).  An input of more than two
-    dimensions, or one that holds a NaN or an infinity, raises a ValueError
-    that names ``name``.
+    dimensions, a 2-d input other than one column for ``ndim`` 1, or one
+    that holds a NaN or an infinity, raises a ValueError that names ``name``.
 
     An input that already is a read-only, C-contiguous float64 ndarray with
     ``ndim`` dimensions is held as it is: whoever froze it will not write
@@ -47,6 +47,8 @@ def frozen_array(values, ndim: int, name: str) -> np.ndarray:
         arr = np.array(values, dtype=float)
         if arr.ndim > 2:
             raise ValueError(f"{name} must be at most 2-d, got shape {arr.shape}")
+        if ndim == 1 and arr.ndim == 2 and arr.shape[1] != 1:
+            raise ValueError(f"{name} must be 1-d or one column, got shape {arr.shape}")
         arr = arr.ravel() if ndim == 1 else np.atleast_2d(arr)
         arr.setflags(write=False)
     require_finite(arr, name)

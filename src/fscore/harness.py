@@ -23,7 +23,7 @@ import numpy as np
 from .core import lemma1_excess, solve_threshold
 from .discrete import FBetaParams
 from .estimators import _integer
-from .plugin import TrainingDegenerate, UnlabeledDataset, train_plugin
+from .plugin import TrainingDegenerate, train_plugin
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
                         make_two_point_family, sample)
@@ -110,16 +110,30 @@ class _Oracle:
                              self.b2, self.p_y1)
 
 
-def _unlabeled_draw(family, rng, big_n) -> UnlabeledDataset:
-    x = np.asarray(family.sampler(rng, big_n), dtype=float).reshape(big_n, family.d)
-    if family.d == 1:
-        # theta_hat depends only on the multiset of scores, so the order is
-        # free; the 1-d kernel sweeps sorted queries as they come and argsorts
-        # any other block first
-        x.sort(axis=0)
-    # frozen, so that UnlabeledDataset holds the draw without a copy
-    x.setflags(write=False)
-    return UnlabeledDataset(points=x)
+@dataclass(frozen=True)
+class _UnlabeledDraw:
+    """N unlabeled points of ``family``, drawn from ``rng`` one block at a
+    time as ``train_plugin`` scores them, so that only the scores are held
+    whole."""
+
+    family: AnalyticDistribution
+    rng: np.random.Generator
+    n: int
+
+    @property
+    def d(self) -> int:
+        return self.family.d
+
+    def blocks(self, size: int):
+        for start in range(0, self.n, size):
+            m = min(size, self.n - start)
+            x = np.asarray(self.family.sampler(self.rng, m), dtype=float).reshape(m, self.d)
+            if self.d == 1:
+                # theta_hat depends only on the multiset of scores, so the
+                # order is free; the 1-d kernel sweeps sorted queries as they
+                # come and argsorts any other block first
+                x.sort(axis=0)
+            yield x
 
 
 def _replicate(family, oracle, cfg, n, rep_seed):
@@ -128,7 +142,7 @@ def _replicate(family, oracle, cfg, n, rep_seed):
     labeled = sample(family, n, rng)
     beta = family.smoothness.beta if family.smoothness is not None else 1.0
     try:
-        clf = train_plugin(labeled, _unlabeled_draw(family, rng, cfg.unlabeled_size(n)),
+        clf = train_plugin(labeled, _UnlabeledDraw(family, rng, cfg.unlabeled_size(n)),
                            {**cfg.estimator, "beta": beta}, FBetaParams(b=cfg.b))
     except TrainingDegenerate:
         return None

@@ -19,6 +19,8 @@ from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
 from .table import read_table, write_table
 from .threshold import ScoreSample, empirical_threshold
 
+_DRAW_CHUNK = 1 << 18  # unlabeled points scored per block
+
 
 class TrainingDegenerate(ValueError):
     """Raised when every training label is 0: the empirical threshold
@@ -43,6 +45,11 @@ class UnlabeledDataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    def blocks(self, size: int):
+        """Views of the rows, ``size`` at a time, in order."""
+        for start in range(0, self.n, size):
+            yield self.points[start:start + size]
 
     @classmethod
     def from_csv(cls, path) -> "UnlabeledDataset":
@@ -103,12 +110,16 @@ class PluginClassifier:
                    provenance=record.get("provenance", {}))
 
 
-def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
-                 estimator_config: dict,
+def train_plugin(labeled: LabeledDataset, unlabeled, estimator_config: dict,
                  params: FBetaParams = FBetaParams()) -> PluginClassifier:
     """Fit eta_hat on the n labeled points, calibrate theta_hat on exactly the
     N unlabeled points (never on the labeled ones, which eta_hat was fitted
-    on) and assemble the classifier with provenance."""
+    on) and assemble the classifier with provenance.
+
+    ``unlabeled`` is an ``UnlabeledDataset`` or any object with ``n``, ``d``
+    and ``blocks(size)``, which yields the N points as (m, d) arrays of at
+    most ``size`` rows.  The points are scored one block of ``_DRAW_CHUNK``
+    at a time, and only their scores are kept."""
     if float(labeled.labels.sum()) == 0.0:
         raise TrainingDegenerate("all training labels are 0; P_hat(Y=1)=0 "
                                  "makes the threshold equation vacuous")
@@ -118,7 +129,14 @@ def train_plugin(labeled: LabeledDataset, unlabeled: UnlabeledDataset,
     if unlabeled.d != labeled.d:
         raise ValueError("labeled/unlabeled dimension mismatch")
     eta_hat = fit_from_config(labeled, estimator_config)
-    scores = eta_hat.evaluate(unlabeled.points)
+    scores = np.empty(unlabeled.n)
+    filled = 0
+    for block in unlabeled.blocks(_DRAW_CHUNK):
+        scores[filled:filled + block.shape[0]] = eta_hat.evaluate(block)
+        filled += block.shape[0]
+    if filled != unlabeled.n:
+        raise ValueError(f"unlabeled blocks hold {filled} points, expected "
+                         f"{unlabeled.n}")
     # theta_hat depends only on the multiset of scores: sorted in place and
     # frozen, they are held by ScoreSample and solved without another copy
     scores.sort()

@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import fscore as fs
-from fscore import harness
+from fscore import harness, plugin
 from fscore.harness import (ExperimentConfig, emit_report, run_dkw_check,
                             run_experiment, run_rate_experiment)
 from fscore.table import read_table
@@ -248,3 +249,71 @@ def test_hard_family_d2_rate_config(method):
         assert row["reps_valid"] >= 1
         assert math.isfinite(row["mean"]) and row["mean"] >= 0.0
     assert math.isfinite(result.slope)
+
+
+CHUNKED = dict(n_rule="n2", n_grid=(40, 90), reps=3, seed=2, oracle_atoms=2000)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"family": "constant"},
+                                    {"family": "two_point",
+                                     "estimator": {"method": "knn"}}])
+def test_chunked_draw_keeps_results(monkeypatch, kwargs):
+    # these samplers draw the same numbers in blocks as in one call, and
+    # theta_hat depends only on the multiset of scores, so a chunk of 777
+    # (N = 1600 and 8100 span 3 and 11 blocks) gives the one-block result
+    # (compared by repr, as a NaN slope is unequal to itself)
+    cfg = ExperimentConfig(**CHUNKED, **kwargs)
+    whole = repr([asdict(r) for r in run_experiment(cfg)])
+    monkeypatch.setattr(plugin, "_DRAW_CHUNK", 777)
+    assert repr([asdict(r) for r in run_experiment(cfg)]) == whole
+
+
+@pytest.mark.parametrize("method", ["kernel", "knn", "local_poly"])
+def test_chunked_unlabeled_dataset_keeps_theta(monkeypatch, method):
+    # an in-memory, unsorted unlabeled set scored in blocks of 777 rows
+    fam = fs.make_smooth_1d_family()
+    labeled = fs.sample(fam, 300, seed=4)
+    unlabeled = fs.sample(fam, 5000, seed=5, labeled=False)
+    config = {"method": method}
+    whole = fs.train_plugin(labeled, unlabeled, config).theta_hat
+    blocks = []
+    monkeypatch.setattr(plugin, "_DRAW_CHUNK", 777)
+    monkeypatch.setattr(fs.UnlabeledDataset, "blocks",
+                        lambda self, size, blocks_of=fs.UnlabeledDataset.blocks:
+                        (blocks.append(b.shape[0]) or b for b in blocks_of(self, size)))
+    assert fs.train_plugin(labeled, unlabeled, config).theta_hat == whole
+    assert blocks == [777] * 6 + [338]
+
+
+def test_chunked_hard_family_runs(monkeypatch):
+    # the hard family's mixture sampler draws its component choices before
+    # the points, so blocks draw other numbers than one call: only check
+    # that a chunked N = n^2 run gives valid rows
+    p = fs.hard_family_rate_params(200, beta=1.0, d=2, alpha=1.0)
+    cfg = ExperimentConfig(family="hard",
+                           family_params={"d": p.d, "beta": p.beta, "q": p.q,
+                                          "m": p.m, "w": p.w, "seed": 0},
+                           estimator={"method": "knn"}, **CHUNKED)
+    monkeypatch.setattr(plugin, "_DRAW_CHUNK", 777)
+    for result in run_experiment(cfg):
+        assert [(r["n"], r["N"]) for r in result.rows] == [(40, 1600), (90, 8100)]
+        for row in result.rows:
+            assert row["reps_valid"] >= 1
+            assert math.isfinite(row["mean"]) and row["mean"] >= 0.0
+
+
+def test_n2_replicate_keeps_only_the_scores():
+    # N = 4M unlabeled points: the 8N bytes of scores and O(chunk)
+    # temporaries, never the draw and the scores together (16N)
+    cfg = ExperimentConfig(n_rule="n2", n_grid=(2000,), reps=1, seed=0,
+                           oracle_atoms=2000)
+    family = harness.build_family(cfg)
+    oracle = harness._Oracle(family, cfg.oracle_atoms, cfg.b)
+    big_n = cfg.unlabeled_size(2000)
+    tracemalloc.start()
+    try:
+        assert harness._replicate(family, oracle, cfg, 2000, 7) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * big_n

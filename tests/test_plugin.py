@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ def test_empty_unlabeled_rejected():
     empty = fs.UnlabeledDataset(points=np.empty((0, 1)))
     with pytest.raises(ValueError, match="unlabeled dataset is empty"):
         fs.train_plugin(labeled, empty, {"method": "kernel"})
+
+
+def test_unlabeled_blocks_must_cover_n():
+    # a block source that yields fewer rows than its n would leave scores
+    # unset, one that yields more would overrun them
+    _, labeled, unlabeled = make_sets(n=100, big_n=10)
+    for rows in (9, 11):
+        short = SimpleNamespace(n=10, d=1, blocks=lambda size, rows=rows:
+                                iter([unlabeled.points[:5], np.full((rows - 5, 1), 0.5)]))
+        with pytest.raises(ValueError):
+            fs.train_plugin(labeled, short, {"method": "kernel"})
 
 
 def test_predict_strict_inequality():
@@ -234,3 +246,24 @@ def test_more_than_two_dimensions_rejected(name):
     # a (2, 1, 1) array was accepted and failed later in numpy, naming no field
     with pytest.raises(ValueError, match=f"^{name} must be at most 2-d"):
         THREE_D[name](np.zeros((2, 1, 1)))
+
+
+ONE_D = {
+    "labels": lambda v: LabeledDataset(points=np.zeros((v.size, 1)),
+                                       labels=v > 0.5).labels,
+    "score sample": lambda v: fs.ScoreSample(values=v).values,
+    "mass": lambda v: fs.DiscreteDistribution(
+        support=np.zeros((v.size, 1)), mass=v, eta=np.full(v.size, 0.5)).mass,
+    "eta": lambda v: fs.DiscreteDistribution(
+        support=np.zeros((v.size, 1)), mass=np.full(v.size, 1 / v.size), eta=v).eta,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_D))
+def test_one_dimensional_inputs_take_one_column(name):
+    # a (2, 2) labels array was raveled into 4 labels, a (2, 3) score array
+    # into 6 scores; only an (n, 1) column stands for n values
+    for shape in ((2, 2), (2, 3), (1, 4)):
+        with pytest.raises(ValueError, match=f"^{name} must be 1-d or one column"):
+            ONE_D[name](np.full(shape, 0.25))
+    assert ONE_D[name](np.full((4, 1), 0.25)).shape == (4,)
