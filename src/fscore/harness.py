@@ -112,12 +112,13 @@ class _Oracle:
 
 @dataclass(frozen=True)
 class _UnlabeledDraw:
-    """N unlabeled points of ``family``, drawn from ``rng`` one block at a
-    time as ``train_plugin`` scores them, so that only the scores are held
-    whole."""
+    """N unlabeled points of ``family``, drawn one block at a time as
+    ``train_plugin`` scores them, so that only the scores are held whole.
+    Every ``blocks`` pass draws the same points from ``state``, the bit
+    generator's state at the first point."""
 
     family: AnalyticDistribution
-    rng: np.random.Generator
+    state: dict
     n: int
 
     @property
@@ -125,9 +126,12 @@ class _UnlabeledDraw:
         return self.family.d
 
     def blocks(self, size: int):
+        bits = getattr(np.random, self.state["bit_generator"])()
+        bits.state = self.state
+        rng = np.random.Generator(bits)
         for start in range(0, self.n, size):
             m = min(size, self.n - start)
-            x = np.asarray(self.family.sampler(self.rng, m), dtype=float).reshape(m, self.d)
+            x = np.asarray(self.family.sampler(rng, m), dtype=float).reshape(m, self.d)
             if self.d == 1:
                 # theta_hat depends only on the multiset of scores, so the
                 # order is free; the 1-d kernel sweeps sorted queries as they
@@ -141,9 +145,10 @@ def _replicate(family, oracle, cfg, n, rep_seed):
     rng = np.random.default_rng(rep_seed)
     labeled = sample(family, n, rng)
     beta = family.smoothness.beta if family.smoothness is not None else 1.0
+    draw = _UnlabeledDraw(family, rng.bit_generator.state, cfg.unlabeled_size(n))
     try:
-        clf = train_plugin(labeled, _UnlabeledDraw(family, rng, cfg.unlabeled_size(n)),
-                           {**cfg.estimator, "beta": beta}, FBetaParams(b=cfg.b))
+        clf = train_plugin(labeled, draw, {**cfg.estimator, "beta": beta},
+                           FBetaParams(b=cfg.b))
     except TrainingDegenerate:
         return None
     return {

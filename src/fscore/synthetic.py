@@ -174,6 +174,71 @@ def verify_strong_density(dist: AnalyticDistribution) -> dict:
 # ---------------------------------------------------------------------------
 # Smooth one-dimensional family.
 
+def _level_equation(slope: float, x0: float, alpha_target: float):
+    """c -> c E eta - E(eta - c)_+ for the smooth family's eta crossing c at
+    x0, in closed form: eta is a power clipped at 0 and 1."""
+    exponent = 1.0 / alpha_target
+
+    def clipped_power(cap, w):
+        # int_0^w min(slope t^exponent, cap) dt: the power reaches cap at t = m
+        m = min(w, (cap / slope) ** alpha_target)
+        return slope * m ** (exponent + 1.0) / (exponent + 1.0) + cap * (w - m)
+
+    def equation(c):
+        # above x0 eta - c rises to the cap 1 - c; below x0 c - eta to c
+        upper = clipped_power(1.0 - c, 1.0 - x0)
+        return c * (c + upper - clipped_power(c, x0)) - upper
+
+    return equation
+
+
+_BRENT_XTOL = 1e-15
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_ITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of ``f`` in [xa, xb], where f(xa) and f(xb) are nonzero and of
+    opposite signs, by Brent's method, step for step as
+    scipy.optimize.brentq (scipy's brentq.c) with xtol 1e-15 and its default
+    rtol and iteration count, so the root is the same float; here it spares
+    the import of scipy.optimize."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    for _ in range(_BRENT_ITER):
+        if fpre != 0 and fcur != 0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConstructionError("the crossing level did not converge")
+
+
 def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
                           slope: float = 0.6, x0: float = 0.5) -> AnalyticDistribution:
     """X ~ U[0,1] with eta crossing its own optimal threshold at x0 like
@@ -191,23 +256,11 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
     if not (0.0 < x0 < 1.0):
         raise ConstructionError(f"x0 must lie in (0, 1), got {x0!r}")
     exponent = 1.0 / alpha_target
-
-    def clipped_power(cap, w):
-        # int_0^w min(slope t^exponent, cap) dt: the power reaches cap at t = m
-        m = min(w, (cap / slope) ** alpha_target)
-        return slope * m ** (exponent + 1.0) / (exponent + 1.0) + cap * (w - m)
-
-    def equation(c):
-        # above x0 eta - c rises to the cap 1 - c; below x0 c - eta to c
-        upper = clipped_power(1.0 - c, 1.0 - x0)
-        return c * (c + upper - clipped_power(c, x0)) - upper
-
-    from scipy.optimize import brentq
-
+    equation = _level_equation(slope, x0, alpha_target)
     lo, hi = 0.02, 0.49
     if equation(lo) >= 0 or equation(hi) <= 0:
         raise ConstructionError("could not bracket the crossing level")
-    level = brentq(equation, lo, hi, xtol=1e-15)
+    level = _brentq(equation, lo, hi)
 
     def eta_flat(x_flat):
         dx = x_flat - x0

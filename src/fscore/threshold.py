@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import solve_threshold
+from .core import Carry, solve_threshold
 from .discrete import FBetaParams, frozen_array
 
 
 class DegenerateScoreSample(UserWarning):
-    """All scores are zero: every theta solves the equation; 0 is returned."""
+    """No score is positive: every theta solves the equation; 0 is returned."""
 
 
 @dataclass(frozen=True)
@@ -35,21 +35,28 @@ class ScoreSample:
         object.__setattr__(self, "values", values)
 
 
-def empirical_threshold(sample: ScoreSample,
-                        params: FBetaParams = FBetaParams()) -> float:
+def empirical_threshold(sample: ScoreSample, params: FBetaParams = FBetaParams(),
+                        carry: Carry | None = None) -> float | None:
     """Root theta_hat of the empirical threshold equation on [0, 1/(1+b^2)].
 
     The root is exact and depends only on the multiset of scores: reordering
     the sample returns the same float.  ``solve_threshold`` checks it: a
     residual above ROOT_RESIDUAL_TOL, per score, raises ``ArithmeticError``.
-    All-zero scores warn with ``DegenerateScoreSample`` and return 0.
+    When no score is positive it warns with ``DegenerateScoreSample`` and
+    returns 0.
+
+    With a ``carry`` the sample holds only a run of consecutive sorted
+    scores of a larger sample, which the carry sums up: the root is that of
+    the larger sample, or None when it does not lie within the run (see
+    ``solve_threshold``), and the warning counts the carry's positive
+    scores.
     """
     values = sample.values
-    if float(values.mean()) == 0.0:
-        warnings.warn("all scores are zero; returning theta_hat = 0",
+    if not (values.max() > 0.0 if carry is None else carry.positive > 0):
+        warnings.warn("no score is positive; returning theta_hat = 0",
                       DegenerateScoreSample)
         return 0.0
-    return solve_threshold(values, b=params.b)
+    return solve_threshold(values, b=params.b, carry=carry)
 
 
 def empirical_cdf(sample_values: np.ndarray):

@@ -67,3 +67,15 @@ from fscore import KNNEstimate, LabeledDataset
 KNNEstimate(LabeledDataset(points=np.eye(3), labels=[0, 1, 1]), k=1)
 """
     assert "scipy.spatial" in _scipy_modules_after(code, tmp_path)
+
+
+def test_smooth_kernel_rate_loads_no_scipy(tmp_path):
+    # the smooth family's crossing level is solved without scipy.optimize;
+    # N = 600^2 takes the band path of the threshold solve
+    code = """
+from fscore import ExperimentConfig, run_experiment
+for rule in ("n", "n2"):
+    run_experiment(ExperimentConfig(n_grid=(200, 600), n_rule=rule, reps=1,
+                                    oracle_atoms=2000))
+"""
+    assert _scipy_modules_after(code, tmp_path) == []

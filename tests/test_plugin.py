@@ -267,3 +267,105 @@ def test_one_dimensional_inputs_take_one_column(name):
         with pytest.raises(ValueError, match=f"^{name} must be 1-d or one column"):
             ONE_D[name](np.full(shape, 0.25))
     assert ONE_D[name](np.full((4, 1), 0.25)).shape == (4,)
+
+
+# ---------------------------------------------------------------------------
+# The band solve: N above plugin._PILOT scored in one pass that keeps a band.
+
+IDENTITY = SimpleNamespace(evaluate=lambda x: x[:, 0].copy())
+# measured worst relative gap to the whole solve: 3.9e-11, on two-point
+# scores at N = 4M, where the whole solve's one-term-at-a-time suffix sums
+# over 2M tied values err the most
+BAND_REL_TOL = 1e-10
+
+
+@pytest.mark.parametrize("method", ["kernel", "knn", "local_poly"])
+@pytest.mark.parametrize("family", ["smooth", "two_point"])
+def test_band_theta_matches_whole_solve(family, method):
+    # N i.i.d. scores drawn from eta_hat's values on a pool of points (knn
+    # and two-point scores are tied), sorted, so the interleaved blocks and
+    # the pilot are systematic samples
+    from fscore import plugin
+    fam = fs.make_smooth_1d_family() if family == "smooth" else fs.make_two_point_family()
+    est = fs.fit_from_config(fs.sample(fam, 500, seed=1), {"method": method})
+    pool = est.evaluate(fs.sample(fam, 1 << 16, seed=2, labeled=False).points)
+    atoms = est.evaluate(fam.discretize(2000).support)
+    rng = np.random.default_rng(3)
+    for big_n in ((1 << 18) + 1, (1 << 20) + 3, 4_000_000):
+        scores = np.sort(pool[rng.integers(pool.size, size=big_n)])
+        scores.setflags(write=False)
+        unlabeled = fs.UnlabeledDataset(points=scores[:, None])
+        for b in (0.5, 1.0, 2.0):
+            params = fs.FBetaParams(b=b)
+            whole = fs.empirical_threshold(fs.ScoreSample(values=scores), params)
+            band = plugin._band_threshold(IDENTITY, unlabeled, params)
+            assert band is not None and abs(band - whole) <= BAND_REL_TOL * whole
+            np.testing.assert_array_equal(atoms > band, atoms > whole)
+
+
+def test_band_miss_replays_the_blocks(monkeypatch):
+    # a zero half-width leaves the root outside the band: train_plugin draws
+    # the same points again and solves them whole, with the same bits
+    from fscore import harness, plugin
+    fam, labeled, _ = make_sets()
+    rng = np.random.default_rng(9)
+    draw = harness._UnlabeledDraw(fam, rng.bit_generator.state, 3 << 18)
+    est = fs.fit_from_config(labeled, {"method": "kernel"})
+    whole = plugin._whole_threshold(est, draw, fs.FBetaParams())
+    passes = []
+
+    def recorded(size):
+        passes.append([])
+        for block in draw.blocks(size):
+            passes[-1].append(block.copy())
+            yield block
+
+    monkeypatch.setattr(plugin, "_band_halfwidth", lambda pilot, theta, b2: 0.0)
+    replayed = fs.train_plugin(labeled, SimpleNamespace(n=draw.n, d=draw.d, blocks=recorded),
+                               {"method": "kernel"})
+    assert replayed.theta_hat == whole
+    assert len(passes) == 2 and len(passes[0]) == len(passes[1]) == 3
+    for first, second in zip(*passes):
+        np.testing.assert_array_equal(first, second)
+
+
+def test_band_root_is_checked(monkeypatch):
+    # the band solve's root goes through the same residual check, with the
+    # carry standing in for the scores outside the band
+    from fscore import core, plugin
+    scan = core._segment_scan
+    monkeypatch.setattr(core, "_segment_scan",
+                        lambda v, w, b2, carry=None: scan(v, w, b2, carry) + 1e-3)
+    scores = np.random.default_rng(4).random((1 << 18) + 5)
+    with pytest.raises(ArithmeticError, match="residual"):
+        plugin._band_threshold(IDENTITY, fs.UnlabeledDataset(points=scores[:, None]),
+                               fs.FBetaParams())
+
+
+def test_band_checks_every_block():
+    # scores outside the pilot (the first of the two interleaved blocks,
+    # the even rows) are checked as ScoreSample checks them
+    from fscore import plugin
+    rows = fs.UnlabeledDataset(points=np.arange((1 << 18) + 5.0)[:, None])
+    for bad, message in ((np.nan, "score sample: row"), (1.5, r"\[0, 1\]")):
+        scores = np.random.default_rng(4).random(rows.n)
+        scores[1] = bad
+        lookup = SimpleNamespace(evaluate=lambda x, scores=scores: scores[x[:, 0].astype(int)])
+        with pytest.raises(ValueError, match=message):
+            plugin._band_threshold(lookup, rows, fs.FBetaParams())
+
+
+def test_unlabeled_blocks_interleave():
+    # k = ceil(n / size) views points[i::k]: every row once, at most size
+    # rows each, the first block spread over all rows (the pilot of a
+    # sorted file is not its lowest rows), and ascending rows give
+    # ascending blocks
+    points = np.arange(5000.0)[:, None]
+    for size in (777, 1000, 4999, 5000, 10_000):
+        blocks = list(fs.UnlabeledDataset(points=points).blocks(size))
+        assert len(blocks) == -(-5000 // size)
+        assert all(0 < b.shape[0] <= size for b in blocks)
+        assert blocks[0][-1, 0] >= 5000 - len(blocks)
+        rows = np.concatenate([b[:, 0] for b in blocks])
+        np.testing.assert_array_equal(np.sort(rows), points[:, 0])
+        assert all((np.diff(b[:, 0]) > 0).all() for b in blocks)

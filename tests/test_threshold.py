@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -153,3 +154,26 @@ def test_solve_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * values.nbytes
+
+
+def test_degenerate_only_when_no_score_is_positive():
+    # a mean that underflows to 0 is not "no positive score": neither the
+    # whole solve nor the band solve warns, and both give the same root
+    import warnings
+    from fscore import plugin
+    tiny = np.zeros((1 << 18) + 7)
+    tiny[3] = 5e-324
+    tiny.setflags(write=False)
+    assert float(tiny.mean()) == 0.0
+    identity = SimpleNamespace(evaluate=lambda x: x[:, 0].copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fs.DegenerateScoreSample)
+        small = fs.empirical_threshold(fs.ScoreSample(values=[5e-324, 0, 0, 0]))
+        whole = fs.empirical_threshold(fs.ScoreSample(values=tiny))
+        band = plugin._band_threshold(identity, fs.UnlabeledDataset(points=tiny[:, None]),
+                                      fs.FBetaParams())
+    assert 0.0 <= small <= 5e-324 and band == whole
+    zeros = np.zeros((1 << 18) + 7)
+    with pytest.warns(fs.DegenerateScoreSample, match="no score is positive"):
+        assert plugin._band_threshold(identity, fs.UnlabeledDataset(points=zeros[:, None]),
+                                      fs.FBetaParams()) == 0.0
