@@ -100,8 +100,8 @@ def _load_config(path) -> dict:
 def _parse_estimator(raw) -> dict:
     if raw is None:
         return {"method": "kernel"}
-    if isinstance(raw, dict):
-        return raw
+    if not isinstance(raw, str):
+        return raw  # a config file's value, which ExperimentConfig checks
     raw = raw.strip()
     if raw.startswith("{"):
         return json.loads(raw)

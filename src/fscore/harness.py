@@ -9,6 +9,17 @@ exponent.  A sup-CDF concentration table and deterministic report emission
 Seeding: every (n-index, replication) cell owns the stream
 ``default_rng(seed + 1_000_003 * n_index + rep)``, and aggregation happens in
 fixed index order.
+
+Workers: ``run_experiment`` deals the cells, largest n first, round-robin
+over one worker per CPU this process may use.  The calling process runs the
+first share and a child made by ``os.fork`` each other share; the results
+come back through pipes and are aggregated in index order, so the curves do
+not depend on the number of workers.  Up to that many replicates are held
+in memory at once.  With one usable CPU, one cell, or no ``os.fork``, the
+cells run one after another in the calling process.  Python 3.12 and later
+warn on ``fork`` in a process that holds threads, such as BLAS threads; with
+BLAS on more than one thread, the workers' BLAS threads also compete for the
+same CPUs, so one BLAS thread (``OPENBLAS_NUM_THREADS=1``) suits the workers.
 """
 
 from __future__ import annotations
@@ -16,13 +27,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .core import lemma1_excess, solve_threshold
 from .discrete import FBetaParams
-from .estimators import _integer
+from .estimators import _ESTIMATORS, _integer
 from .plugin import TrainingDegenerate, train_plugin
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
@@ -58,6 +70,10 @@ class ExperimentConfig:
         fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
         if rule not in ("n", "n2") and not (fixed and rule >= 1):
             raise ValueError(f"n_rule must be 'n', 'n2' or a positive int, got {rule!r}")
+        est = self.estimator
+        if not isinstance(est, dict) or est.get("method", "kernel") not in _ESTIMATORS:
+            raise ValueError("estimator must be a dict whose method is one of "
+                             f"{', '.join(_ESTIMATORS)}, got {est!r}")
 
     def unlabeled_size(self, n: int) -> int:
         if self.n_rule == "n":
@@ -163,12 +179,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RateFitResult, RateFitResult]
     from one pass: every replicate's fit gives a value to each curve."""
     family = build_family(cfg)
     oracle = _Oracle(family, cfg.oracle_atoms, cfg.b)
+    cells = [(n, cfg.seed + _CELL_SEED_STRIDE * n_index + rep)
+             for n_index, n in enumerate(cfg.n_grid) for rep in range(cfg.reps)]
+    results = _run_cells(family, oracle, cfg, cells)
     excess_rows, threshold_rows = [], []
     for n_index, n in enumerate(cfg.n_grid):
-        seeds = [cfg.seed + _CELL_SEED_STRIDE * n_index + rep
-                 for rep in range(cfg.reps)]
-        results = [_replicate(family, oracle, cfg, n, s) for s in seeds]
-        valid = [r for r in results if r is not None]
+        cell_results = results[n_index * cfg.reps:(n_index + 1) * cfg.reps]
+        valid = [r for r in cell_results if r is not None]
         if not valid:
             raise RuntimeError(f"all replications degenerate at n={n}")
         for statistic, rows in (("excess", excess_rows), ("theta_err", threshold_rows)):
@@ -190,6 +207,111 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RateFitResult, RateFitResult]
         else -(1.0 + alpha) * beta / denom
     return (_fit("excess", excess_rows, excess_theory, cfg),
             _fit("threshold", threshold_rows, -beta / denom, cfg))
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cells(family, oracle, cfg, cells: list) -> list:
+    """``_replicate`` of every (n, seed) cell, in the order of ``cells``.
+
+    The cells are dealt, largest n first, round-robin over W workers, one
+    per usable CPU and at most one per cell.  This process runs the first
+    share and a forked child each other share (``_fork_share``).  On any
+    error, that of this process's share first and then those of the
+    children in worker order, the children are killed and reaped before it
+    propagates; no child outlives the call."""
+    workers = min(_usable_cpus(), len(cells))
+    if workers == 1 or not hasattr(os, "fork"):
+        return [_replicate(family, oracle, cfg, n, seed) for n, seed in cells]
+
+    def run(share):
+        return [_replicate(family, oracle, cfg, *cells[i]) for i in share]
+
+    order = sorted(range(len(cells)), key=lambda i: -cells[i][0])
+    shares = [order[w::workers] for w in range(workers)]
+    results = [None] * len(cells)
+    pids, reads = [], []  # until reaped, and until closed
+    try:
+        for share in shares[1:]:
+            pid, read = _fork_share(run, share)
+            pids.append(pid)
+            reads.append(read)
+        for i, result in zip(shares[0], run(shares[0])):
+            results[i] = result
+        for share, pid, read in zip(shares[1:], list(pids), list(reads)):
+            reads.remove(read)
+            with os.fdopen(read, "rb") as fh:
+                payload = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if not payload:
+                raise RuntimeError("a replicate worker exited with status "
+                                   f"{os.waitstatus_to_exitcode(status)} and "
+                                   "no result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            for i, result in zip(share, value):
+                results[i] = result
+    finally:
+        for read in reads:
+            os.close(read)
+        if pids:
+            import signal
+            for pid in pids:  # unreaped, so the pid is still this child's
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
+def _fork_share(run, share) -> tuple[int, int]:
+    """Fork a child that pickles ``(True, run(share))``, or ``(False, the
+    exception)``, into a pipe; returns the child's pid and the read end.
+    The child leaves by ``os._exit`` whatever happens, so it runs none of
+    this process's exit handlers and flushes none of its buffers."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((True, run(share)))
+        except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
+            payload = _pickled_error(exc)
+        with os.fdopen(write, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """``(False, exc)`` pickled, with the worker's traceback as a note; a
+    RuntimeError naming its type and message when ``exc`` does not survive
+    the round trip."""
+    import traceback
+    note = "raised in a replicate worker:\n" + "".join(traceback.format_exception(exc))
+    try:
+        if hasattr(exc, "add_note"):
+            exc.add_note(note)
+        payload = pickle.dumps((False, exc))
+        pickle.loads(payload)
+        return payload
+    except Exception:  # noqa: BLE001 - any failure to rebuild it
+        return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}\n{note}")))
 
 
 def _fit(kind: str, rows: list, theory: float | None,

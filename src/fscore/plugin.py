@@ -198,6 +198,15 @@ def _band_halfwidth(pilot: np.ndarray, theta: float, b2: float) -> float:
     return 2.0 * eps * max(1.0, b2) / slope if slope > 0.0 else math.inf
 
 
+def _band_room(pilot: np.ndarray, lo: float, hi: float, n: int) -> int:
+    """Room for the scores of n in the band [lo, hi] and the one score that
+    closes it: the pilot's share of scores in the band, plus eight of that
+    share's binomial standard errors, of n."""
+    share = np.count_nonzero((pilot >= lo) & (pilot <= hi)) / pilot.size
+    share += 8.0 * math.sqrt(share / pilot.size)
+    return min(n, math.ceil(share * n)) + 1
+
+
 def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
     """The root over all N scores from one pass.  The first block is the
     pilot: its exact root theta places the band theta +- delta
@@ -205,13 +214,14 @@ def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
     the band; of the others, the largest below the band, the least above it
     and the count and sum above it; of all, the sum and the count of positive
     scores.  That is the carry ``solve_threshold`` takes.  Every block's
-    scores are checked as ``ScoreSample`` checks them.  None when the root
-    of the whole sample is not in the band (nor in the gaps just outside)."""
-    positive = above = 0
+    scores are checked as ``ScoreSample`` checks them.  The band is filled
+    into one buffer sized by ``_band_room`` and grown only when a block
+    outgrows it, so it is held once.  None when the root of the whole sample
+    is not in the band (nor in the gaps just outside)."""
+    positive = above = filled = 0
     total = above_sum = floor = 0.0
     ceiling = math.inf
-    kept = []
-    lo = hi = None
+    band = lo = hi = None
     for scores in _scored_blocks(eta_hat, unlabeled):
         scores.setflags(write=False)  # so ScoreSample checks it without a copy
         scores = ScoreSample(values=scores).values
@@ -220,6 +230,7 @@ def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
             theta = solve_threshold(pilot, b=params.b)
             delta = _band_halfwidth(pilot, theta, params.b2)
             lo, hi = theta - delta, theta + delta
+            band = np.empty(_band_room(pilot, lo, hi, unlabeled.n))
             del pilot
         positive += int(np.count_nonzero(scores))
         total += float(scores.sum())
@@ -228,14 +239,23 @@ def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
         above_sum += float(np.sum(scores, where=high))
         ceiling = float(np.min(scores, where=high, initial=ceiling))
         floor = float(np.max(scores, where=low, initial=floor))
-        kept.append(scores[~(high | low)])
+        part = scores[~(high | low)]
+        if filled + part.size + 1 > band.size:
+            # a block outgrew the estimate: grow by half, never past N + 1
+            grown = np.empty(min(unlabeled.n + 1, max(filled + part.size + 1,
+                                                      band.size + band.size // 2)))
+            grown[:filled] = band[:filled]
+            band = grown
+        band[filled:filled + part.size] = part
+        filled += part.size
     if above:
         # one copy of the least score above the band closes the run, so the
         # run is never empty and its top segment is bounded by its own value
-        kept.append(np.array([ceiling]))
+        band[filled] = ceiling
+        filled += 1
         above -= 1
         above_sum -= ceiling
-    band = np.concatenate(kept)
+    band = band[:filled]
     band.sort()
     band.setflags(write=False)
     carry = Carry(floor=floor, above=above, above_sum=above_sum,

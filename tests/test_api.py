@@ -23,20 +23,30 @@ def test_all_lists_exactly_the_public_names():
     assert not public & set(REMOVED)
 
 
-def _scipy_modules_after(code: str, tmp_path) -> list:
-    """Names of the scipy modules loaded once ``code`` has run in a fresh
-    interpreter, so that no earlier import in this process counts."""
+def _modules_after(code: str, tmp_path, package: str = "scipy") -> list:
+    """Names of the ``package`` modules loaded once ``code`` has run in a
+    fresh interpreter, so that no earlier import in this process counts."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules " \
-                   "if m.split('.')[0] == 'scipy'))"
+                   f"if m.split('.')[0] == {package!r}))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
                          capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out.strip().splitlines()[-1])
 
 
 def test_import_loads_no_scipy(tmp_path):
-    assert _scipy_modules_after("import fscore", tmp_path) == []
+    assert _modules_after("import fscore", tmp_path) == []
+
+
+def test_import_and_rate_load_no_multiprocessing(tmp_path):
+    # the harness runs its replicate workers on bare os.fork
+    assert _modules_after("import fscore", tmp_path, "multiprocessing") == []
+    code = """
+from fscore import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig(n_grid=(200, 400), reps=2, oracle_atoms=2000))
+"""
+    assert _modules_after(code, tmp_path, "multiprocessing") == []
 
 
 def test_default_train_predict_loads_no_scipy(tmp_path):
@@ -56,7 +66,7 @@ assert main(["train", "--labeled", "lab.csv", "--unlabeled", "unl.csv",
 assert main(["predict", "--model", "model", "--points", "unl.csv",
              "--out", "preds.csv"]) == 0
 """
-    assert _scipy_modules_after(code, tmp_path) == []
+    assert _modules_after(code, tmp_path) == []
     assert len((tmp_path / "preds.csv").read_text().splitlines()) == 401
 
 
@@ -66,7 +76,7 @@ import numpy as np
 from fscore import KNNEstimate, LabeledDataset
 KNNEstimate(LabeledDataset(points=np.eye(3), labels=[0, 1, 1]), k=1)
 """
-    assert "scipy.spatial" in _scipy_modules_after(code, tmp_path)
+    assert "scipy.spatial" in _modules_after(code, tmp_path)
 
 
 def test_smooth_kernel_rate_loads_no_scipy(tmp_path):
@@ -78,4 +88,4 @@ for rule in ("n", "n2"):
     run_experiment(ExperimentConfig(n_grid=(200, 600), n_rule=rule, reps=1,
                                     oracle_atoms=2000))
 """
-    assert _scipy_modules_after(code, tmp_path) == []
+    assert _modules_after(code, tmp_path) == []

@@ -183,6 +183,18 @@ def test_error_record_on_failure(tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "rate", "--n-rule", rule,
                                   "--out", str(tmp_path))
         assert code != 0 and "n_rule" in json.loads(stderr)["message"]
+    # an unknown estimator failed inside the first replicate, after the
+    # family and its oracle were built; now where the config is made
+    # (a list in a config file failed on .strip() with an AttributeError)
+    cfg = tmp_path / "est.json"
+    cfg.write_text(json.dumps({"estimator": ["knn"]}))
+    for args in (("--estimator", "nope"), ("--estimator", '{"method": "nope"}'),
+                 ("--config", str(cfg))):
+        code, stdout, stderr = run_cli(capsys, "rate", *args,
+                                       "--out", str(tmp_path / "est"))
+        record = json.loads(stderr)
+        assert code == 2 and stdout == "" and record["error"] == "ValueError"
+        assert "estimator must" in record["message"] and not (tmp_path / "est").exists()
     # b = inf wrote a report of zero excesses with "b": null
     code, stdout, stderr = run_cli(capsys, "rate", "--b", "inf", "--family",
                                    "constant", "--out", str(tmp_path / "inf"))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import asdict
 
@@ -37,7 +38,11 @@ def test_config_validation(tmp_path):
                          (dict(reps=2.5), "reps"),
                          (dict(oracle_atoms=1000.5), "oracle_atoms"),
                          (dict(seed=1.5), "seed"),
-                         (dict(seed=-1), "seed")):
+                         (dict(seed=-1), "seed"),
+                         (dict(estimator={"method": "nope"}), "estimator"),
+                         (dict(estimator="knn"), "estimator"),
+                         (dict(estimator=None), "estimator"),
+                         (dict(estimator=[("method", "knn")]), "estimator")):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**kwargs)
     # integral floats are accepted, and stored as ints
@@ -46,6 +51,11 @@ def test_config_validation(tmp_path):
     assert cfg.n_grid == (500, 1000) and type(cfg.n_grid[0]) is int
     assert (cfg.reps, cfg.seed, cfg.oracle_atoms) == (5, 3, 1000)
     assert all(type(v) is int for v in (cfg.reps, cfg.seed, cfg.oracle_atoms))
+    # the estimator is checked where it enters, before any family or oracle
+    # is built; a dict without a method is the kernel, as fit_from_config has it
+    for method in ("knn", "kernel", "local_poly"):
+        assert ExperimentConfig(estimator={"method": method}).estimator["method"] == method
+    ExperimentConfig(estimator={"h": 0.1})
     # a numpy b is held as a Python float: float32 failed in the JSON report
     # and squared to inf in float32, which the oracle solve turned into a NaN
     cfg = ExperimentConfig(b=np.float32(1.0), family="constant", n_grid=(100, 200),
@@ -78,19 +88,24 @@ def test_rate_experiment_shape_and_determinism():
     assert all(r["se"] >= 0 for r in a.rows)
 
 
-def test_run_experiment_one_pass(monkeypatch):
-    calls = []
+def test_run_experiment_one_pass(monkeypatch, tmp_path):
+    # the replicates run in this process and in forked workers, so each call
+    # appends its cell to one file, in which lines of its size are atomic
+    log = tmp_path / "calls"
     replicate = harness._replicate
 
     def counted(*args):
-        calls.append(args[3])
+        with open(log, "a") as fh:
+            fh.write(f"{args[3]} {args[4]}\n")
         return replicate(*args)
 
     monkeypatch.setattr(harness, "_replicate", counted)
     cfg = ExperimentConfig(**SMALL)
     excess, threshold = run_experiment(cfg)
     # one replicate per (n, rep) cell, for both curves
-    assert calls == [n for n in cfg.n_grid for _ in range(cfg.reps)]
+    calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert calls == sorted((n, cfg.seed + harness._CELL_SEED_STRIDE * i + rep)
+                           for i, n in enumerate(cfg.n_grid) for rep in range(cfg.reps))
     assert (excess.kind, threshold.kind) == ("excess", "threshold")
     key = ("n", "N", "reps_valid")
     assert [[r[k] for k in key] for r in excess.rows] == \
@@ -337,7 +352,7 @@ def test_unlabeled_draw_replays_its_blocks():
 
 def test_n2_replicate_holds_a_band_of_the_scores():
     # N = 4M unlabeled points: the pilot block, a band of 6-10 % of the
-    # scores and O(chunk) temporaries.  Measured 0.34 x 8N here (0.30-0.44
+    # scores and O(chunk) temporaries.  Measured 0.36 x 8N here (0.31-0.46
     # over replicate seeds 0-5); 1.20 x 8N when every score was held
     cfg = ExperimentConfig(n_rule="n2", n_grid=(2000,), reps=1, seed=0,
                            oracle_atoms=2000)
@@ -351,3 +366,110 @@ def test_n2_replicate_holds_a_band_of_the_scores():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * big_n
+
+
+# ---------------------------------------------------------------------------
+# Replicates on forked workers: the same results, errors and no child left.
+
+HARD_D2 = fs.hard_family_rate_params(200, beta=1.0, d=2, alpha=1.0)
+WORKER_CONFIGS = {
+    "smooth": dict(n_grid=(200, 400), reps=3, seed=1, oracle_atoms=5000),
+    # N = 600^2 spans two scoring blocks and takes the band solve
+    "smooth_n2": dict(n_rule="n2", n_grid=(200, 600), reps=2, seed=1,
+                      oracle_atoms=5000),
+    "constant": dict(family="constant", n_grid=(200, 400), reps=3, seed=1,
+                     oracle_atoms=1000),
+    "two_point_knn": dict(family="two_point", estimator={"method": "knn"},
+                          n_grid=(200, 400), reps=3, seed=1, oracle_atoms=10),
+    "hard_d2_knn": dict(family="hard", estimator={"method": "knn"},
+                        family_params={"d": 2, "beta": 1.0, "q": HARD_D2.q,
+                                       "m": HARD_D2.m, "w": HARD_D2.w, "seed": 0},
+                        n_grid=(100, 200), reps=3, seed=1, oracle_atoms=2000),
+}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_CONFIGS))
+def test_workers_give_the_serial_results(monkeypatch, name):
+    cfg = ExperimentConfig(**WORKER_CONFIGS[name])
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        results.append(repr([asdict(r) for r in run_experiment(cfg)]))
+        assert_no_child_left()
+    assert results[0] == results[1]
+
+
+class WorkerFault(Exception):
+    pass
+
+
+class TwoArgumentFault(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_worker_error_reaches_the_caller(monkeypatch, where):
+    parent = os.getpid()
+
+    def failing(family, oracle, cfg, n, seed):
+        if (os.getpid() != parent) == (where == "child"):
+            raise WorkerFault(f"cell {n} {seed} failed")
+        return {"theta_hat": 0.5, "theta_err": 0.1, "excess": 0.1}
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(harness, "_replicate", failing)
+    with pytest.raises(WorkerFault, match=r"cell \d+ \d+ failed"):
+        run_experiment(ExperimentConfig(family="constant", n_grid=(100, 200),
+                                        reps=3, oracle_atoms=100))
+    assert_no_child_left()
+
+
+def test_unpicklable_worker_error_is_named(monkeypatch):
+    # an exception that cannot be rebuilt from its args comes back as a
+    # RuntimeError that names its type and message
+    parent = os.getpid()
+
+    def failing(family, oracle, cfg, n, seed):
+        if os.getpid() != parent:
+            raise TwoArgumentFault(7, "no good")
+        return {"theta_hat": 0.5, "theta_err": 0.1, "excess": 0.1}
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_replicate", failing)
+    with pytest.raises(RuntimeError, match="TwoArgumentFault: 7: no good"):
+        run_experiment(ExperimentConfig(family="constant", n_grid=(100, 200),
+                                        reps=1, oracle_atoms=100))
+    assert_no_child_left()
+
+
+def test_workers_are_one_per_usable_cpu(monkeypatch):
+    # the cells are dealt largest n first, round-robin; this process runs
+    # the first share, and a worker each other one
+    parent = os.getpid()
+    here, forked = [], []
+    replicate, fork = harness._replicate, os.fork
+
+    def recorded(family, oracle, cfg, n, seed):
+        if os.getpid() == parent:
+            here.append(n)
+        return replicate(family, oracle, cfg, n, seed)
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness, "_replicate", recorded)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    run_experiment(ExperimentConfig(family="constant", n_grid=(100, 200, 400),
+                                    reps=2, oracle_atoms=100))
+    assert len(forked) == 1 and here == [400, 200, 100]
+    assert_no_child_left()
