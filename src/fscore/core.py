@@ -244,7 +244,10 @@ def lemma1_excess(mass, gap, star, bits, b2: float, p_y1: float) -> float:
 
     with ``gap`` = |eta - theta*|, ``star`` the bits of g* = 1{eta > theta*}
     and ``bits`` those of g, all over the support points.
+
+    Both sums are taken by ``np.einsum`` in a fixed order outside BLAS, so
+    the excess does not depend on the BLAS thread count.
     """
-    num = float(mass @ (gap * (bits != star)))
-    den = b2 * p_y1 + float(mass @ bits)
+    num = float(np.einsum("i,i,i", mass, gap, bits != star))
+    den = b2 * p_y1 + float(np.einsum("i,i", mass, bits))
     return num / den

@@ -15,11 +15,11 @@ over one worker per CPU this process may use.  The calling process runs the
 first share and a child made by ``os.fork`` each other share; the results
 come back through pipes and are aggregated in index order, so the curves do
 not depend on the number of workers.  Up to that many replicates are held
-in memory at once.  With one usable CPU, one cell, or no ``os.fork``, the
-cells run one after another in the calling process.  Python 3.12 and later
-warn on ``fork`` in a process that holds threads, such as BLAS threads; with
-BLAS on more than one thread, the workers' BLAS threads also compete for the
-same CPUs, so one BLAS thread (``OPENBLAS_NUM_THREADS=1``) suits the workers.
+in memory at once, one per worker.  With one usable CPU, one cell, or no
+``os.fork``, there is one worker, the calling process, and nothing is
+forked.  A replicate calls no threaded BLAS routine, so the workers do not
+compete with BLAS threads for the CPUs.  Python 3.12 and later warn on
+``fork`` in a process that holds threads, such as BLAS threads.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ class ExperimentConfig:
         if rule not in ("n", "n2") and not (fixed and rule >= 1):
             raise ValueError(f"n_rule must be 'n', 'n2' or a positive int, got {rule!r}")
         est = self.estimator
-        if not isinstance(est, dict) or est.get("method", "kernel") not in _ESTIMATORS:
+        method = est.get("method", "kernel") if isinstance(est, dict) else None
+        if not isinstance(method, str) or method not in _ESTIMATORS:
             raise ValueError("estimator must be a dict whose method is one of "
                              f"{', '.join(_ESTIMATORS)}, got {est!r}")
 
@@ -220,14 +221,12 @@ def _run_cells(family, oracle, cfg, cells: list) -> list:
     """``_replicate`` of every (n, seed) cell, in the order of ``cells``.
 
     The cells are dealt, largest n first, round-robin over W workers, one
-    per usable CPU and at most one per cell.  This process runs the first
-    share and a forked child each other share (``_fork_share``).  On any
-    error, that of this process's share first and then those of the
-    children in worker order, the children are killed and reaped before it
-    propagates; no child outlives the call."""
-    workers = min(_usable_cpus(), len(cells))
-    if workers == 1 or not hasattr(os, "fork"):
-        return [_replicate(family, oracle, cfg, n, seed) for n, seed in cells]
+    per usable CPU and at most one per cell, or one without ``os.fork``.
+    This process runs the first share and a forked child each other share
+    (``_fork_share``).  On any error, that of this process's share first
+    and then those of the children in worker order, the children are
+    killed and reaped before it propagates; no child outlives the call."""
+    workers = min(_usable_cpus(), len(cells)) if hasattr(os, "fork") else 1
 
     def run(share):
         return [_replicate(family, oracle, cfg, *cells[i]) for i in share]

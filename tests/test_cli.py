@@ -186,10 +186,12 @@ def test_error_record_on_failure(tmp_path, capsys):
     # an unknown estimator failed inside the first replicate, after the
     # family and its oracle were built; now where the config is made
     # (a list in a config file failed on .strip() with an AttributeError)
-    cfg = tmp_path / "est.json"
+    # (a list as the method raised a TypeError: unhashable type)
+    cfg, method_cfg = tmp_path / "est.json", tmp_path / "method.json"
     cfg.write_text(json.dumps({"estimator": ["knn"]}))
+    method_cfg.write_text(json.dumps({"estimator": {"method": ["knn"]}}))
     for args in (("--estimator", "nope"), ("--estimator", '{"method": "nope"}'),
-                 ("--config", str(cfg))):
+                 ("--config", str(cfg)), ("--config", str(method_cfg))):
         code, stdout, stderr = run_cli(capsys, "rate", *args,
                                        "--out", str(tmp_path / "est"))
         record = json.loads(stderr)

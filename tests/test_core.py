@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,3 +242,27 @@ def test_excess_modes_agree():
         lemma = fs.excess_fbeta(d, g, p)
         assert direct == pytest.approx(lemma, abs=1e-12)
         assert direct >= -1e-12
+
+
+def test_excess_does_not_depend_on_blas_threads(tmp_path):
+    # the excess was a BLAS dot product, which OpenBLAS splits over its
+    # threads, so its last bits moved with the thread count
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = """
+import numpy as np
+from fscore.core import lemma1_excess
+rng = np.random.default_rng(0)
+k = 200_000
+for _ in range(10):
+    mass = rng.random(k)
+    bits = (rng.random(k) < 0.5).astype(np.int64)
+    print(repr(lemma1_excess(mass / mass.sum(), rng.random(k), rng.random(k) < 0.5,
+                             bits, 1.0, 0.4)))
+"""
+    values = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        values.add(subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                                  capture_output=True, text=True, check=True).stdout)
+    assert len(values) == 1

@@ -42,7 +42,9 @@ def test_config_validation(tmp_path):
                          (dict(estimator={"method": "nope"}), "estimator"),
                          (dict(estimator="knn"), "estimator"),
                          (dict(estimator=None), "estimator"),
-                         (dict(estimator=[("method", "knn")]), "estimator")):
+                         (dict(estimator=[("method", "knn")]), "estimator"),
+                         (dict(estimator={"method": ["knn"]}), "estimator"),
+                         (dict(estimator={"method": None}), "estimator")):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**kwargs)
     # integral floats are accepted, and stored as ints
@@ -473,3 +475,22 @@ def test_workers_are_one_per_usable_cpu(monkeypatch):
                                     reps=2, oracle_atoms=100))
     assert len(forked) == 1 and here == [400, 200, 100]
     assert_no_child_left()
+
+
+def test_without_fork_this_process_runs_every_cell(monkeypatch):
+    parent = os.getpid()
+    ran = []
+    replicate = harness._replicate
+
+    def recorded(family, oracle, cfg, n, seed):
+        assert os.getpid() == parent
+        ran.append(n)
+        return replicate(family, oracle, cfg, n, seed)
+
+    cfg = ExperimentConfig(family="constant", n_grid=(100, 200), reps=2, oracle_atoms=100)
+    serial = repr([asdict(r) for r in run_experiment(cfg)])
+    monkeypatch.setattr(harness, "_replicate", recorded)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    assert repr([asdict(r) for r in run_experiment(cfg)]) == serial
+    assert ran == [200, 200, 100, 100]
