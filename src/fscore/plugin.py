@@ -84,10 +84,10 @@ class PluginClassifier:
             raise ValueError(f"theta_hat {self.theta_hat!r} outside [0, {cap!r}]")
 
     def predict(self, x) -> np.ndarray | int:
-        """Strict thresholding: 1{eta_hat(x) > theta_hat}."""
-        scores = self.eta_hat.evaluate(x)
-        bits = (np.asarray(scores) > self.theta_hat).astype(np.int64)
-        return int(bits) if np.ndim(scores) == 0 else bits
+        """Strict thresholding: 1{eta_hat(x) > theta_hat}, from
+        ``eta_hat.exceeds``."""
+        bits = self.eta_hat.exceeds(x, self.theta_hat)
+        return int(bits) if np.ndim(bits) == 0 else bits.astype(np.int64)
 
     def save(self, prefix: str) -> None:
         """Write ``<prefix>.json`` (method, hyperparameters, threshold,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,6 +331,36 @@ def test_kernel_fit_sort_matches_stable_order(ties):
     for h in (0.003, 0.03):
         assert_same_bits(fs.KernelEstimate(data, h).evaluate(queries),
                          searched_epanechnikov(data, h, queries))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5, -3e6])
+@pytest.mark.parametrize("spread", ["ties", "gaps"])
+def test_sweep_error_within_the_certified_bound(offset, spread):
+    # _AnchoredPrefix.certify derives delta = u (16 (B + 8)^2 + 4 c (T/h + 1))
+    # as a bound on the sweep's error in sum w and sum w y.  Against sums in
+    # exact rationals it must hold at any query: tied features, gaps, the
+    # window edges x_i -+ h, and features far from 0, where the rounding of
+    # t -+ h dominates (these cases read at most 0.28 delta)
+    rng = np.random.default_rng(5)
+    u = rng.integers(0, 12, 300) / 12.0 if spread == "ties" \
+        else np.r_[rng.random(150), 3.0 + rng.random(150)]
+    x, y = u + offset, (rng.random(300) < 0.5).astype(float)
+    h = 0.05
+    prefix = fs.KernelEstimate(LabeledDataset(points=x[:, None], labels=y), h)._prefix
+    sx = np.sort(x)
+    t = np.sort(np.r_[rng.choice(x, 20) + h, rng.choice(x, 20) - h, rng.choice(x, 20),
+                      np.nextafter(rng.choice(x, 10) + h, np.inf),
+                      offset - 0.1 + 3.2 * rng.random(30)])
+    den, num = prefix.moments(t)
+    for i, ti in enumerate(t):
+        z = [(Fraction(xj) - Fraction(ti)) / Fraction(h) for xj in x]
+        w = [1 - zj * zj if abs(zj) < 1 else 0 for zj in z]
+        exact_den, exact_num = sum(w), sum(wj * int(yj) for wj, yj in zip(w, y))
+        slack = 2.0 ** -40 * (abs(ti) + h)
+        c = np.searchsorted(sx, ti + h + slack, "right") - np.searchsorted(sx, ti - h - slack, "left")
+        delta = 2.0 ** -53 * (16.0 * (prefix.block + 8) ** 2 + 4.0 * c * (abs(ti) / h + 1.0))
+        assert abs(Fraction(den[i]) - exact_den) <= delta
+        assert abs(Fraction(num[i]) - exact_num) <= delta
 
 
 def test_kernel_empty_window_falls_back_to_nearest():

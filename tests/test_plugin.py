@@ -4,8 +4,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fscore as fs
+from fscore import estimators
 from fscore.estimators import LabeledDataset
 from fscore.plugin import predictions_to_csv
 
@@ -77,6 +80,100 @@ def test_predict_strict_inequality():
     const = float(labeled.labels.mean())
     expected = 1 if const > clf.theta_hat else 0
     assert clf.predict(np.array([[0.5]]))[0] == expected
+
+
+# ---------------------------------------------------------------------------
+# predict takes eta_hat.exceeds, which the 1-d kernel certifies per span.
+
+def evaluated_bits(clf, x):
+    return (clf.eta_hat.evaluate(x) > clf.theta_hat).astype(np.int64)
+
+
+@st.composite
+def threshold_cases(draw):
+    """A 1-d model of any method, a theta in [0, 1) and queries that stress
+    a certificate: features spread over h/2 to 30 h, tied or not and offset
+    by 1e5 or not; dense queries across x_i -+ h, queries at exactly
+    x_i -+ h and beyond the data (the 1-NN fallback); theta = 0 or a value
+    eta_hat attains; ascending or shuffled order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 150))
+    h = draw(st.sampled_from([0.03, 0.125, 0.4]))
+    offset = draw(st.sampled_from([0.0, 1e5]))
+    u = rng.integers(0, 8, n) / 8.0 if draw(st.booleans()) else rng.random(n)
+    labels = (rng.random(n) < 0.2 + 0.6 * u).astype(float)
+    labels[0] = 1.0
+    x = offset + draw(st.sampled_from([0.5, 3.0, 30.0])) * h * u
+    method = draw(st.sampled_from(["kernel", "knn", "local_poly"]))
+    config = {"method": "knn"} if method == "knn" else {"method": method, "h": h}
+    eta_hat = fs.fit_from_config(LabeledDataset(points=x[:, None], labels=labels), config)
+    edges = np.concatenate([x[:4] + h, x[:4] - h])
+    queries = np.concatenate([
+        np.linspace(x.min() - 2 * h, x.max() + 2 * h, draw(st.integers(1, 3000))),
+        (edges[:, None] + np.linspace(-h, h, 200) / 20).ravel(),
+        x + h, x - h, x, offset + np.array([-50.0, 40.0])])
+    if draw(st.booleans()):
+        queries.sort()
+    else:
+        rng.shuffle(queries)
+    attained = eta_hat.evaluate(queries[:, None])
+    attained = attained[attained < 0.99]
+    theta = draw(st.sampled_from(["zero", "attained", "any"]))
+    theta = 0.0 if theta == "zero" or attained.size == 0 else \
+        float(rng.choice(attained)) if theta == "attained" else float(rng.random() * 0.99)
+    # b = 0.1 caps theta_hat at 1/1.01, above every theta drawn here
+    clf = fs.PluginClassifier(eta_hat=eta_hat, theta_hat=theta, params=fs.FBetaParams(b=0.1))
+    return clf, queries[:, None]
+
+
+@settings(max_examples=120, deadline=None)
+@given(threshold_cases())
+def test_predict_is_the_evaluated_threshold(case):
+    clf, queries = case
+    bits = clf.predict(queries)
+    assert bits.dtype == np.int64
+    np.testing.assert_array_equal(bits, evaluated_bits(clf, queries))
+
+
+@pytest.mark.parametrize("n", [250, 64_000])
+def test_predict_certifies_most_oracle_atoms(monkeypatch, n):
+    # the harness's excess takes predict over the 200 000 oracle atoms; all
+    # but the doubtful spans are certified without reaching the sweep
+    fam = fs.make_smooth_1d_family()
+    clf = fs.train_plugin(fs.sample(fam, n, seed=n),
+                          fs.sample(fam, n, seed=n + 1, labeled=False),
+                          {"method": "kernel"})
+    atoms = fam.discretize(200_000).support
+    expected = evaluated_bits(clf, atoms)
+    swept = []
+    moments = estimators._AnchoredPrefix.moments
+
+    def counted(self, t):
+        swept.append(t.size)
+        return moments(self, t)
+    monkeypatch.setattr(estimators._AnchoredPrefix, "moments", counted)
+    np.testing.assert_array_equal(clf.predict(atoms), expected)
+    assert 0 < sum(swept) < 0.1 * atoms.shape[0]
+
+
+@pytest.mark.parametrize("method", ["kernel", "knn", "local_poly"])
+def test_a_number_is_one_query_of_a_1d_model(method):
+    _, labeled, unlabeled = make_sets(n=120, big_n=120)
+    clf = fs.train_plugin(labeled, unlabeled, {"method": method})
+    for x in (0.7, 0.05, 2.0):
+        value = clf.eta_hat.evaluate(x)
+        assert isinstance(value, float)
+        assert value == clf.eta_hat.evaluate([x]) == clf.eta_hat.evaluate([[x]])[0]
+        bit = clf.predict(x)
+        assert type(bit) is int
+        assert bit == clf.predict([x]) == clf.predict([[x]])[0] == int(value > clf.theta_hat)
+    none = clf.predict(np.empty((0, 1)))
+    assert none.shape == (0,) and none.dtype == np.int64
+    plane = fs.fit_from_config(
+        LabeledDataset(points=np.random.default_rng(0).random((20, 2)), labels=np.ones(20)),
+        {"method": method})
+    with pytest.raises(ValueError, match="dimension"):
+        plane.evaluate(0.7)
 
 
 def test_save_load_round_trip(tmp_path):
