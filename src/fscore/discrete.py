@@ -124,8 +124,9 @@ class DiscreteDistribution:
 
     @property
     def p_y1(self) -> float:
-        """P(Y = 1) = sum_i mass_i * eta_i."""
-        return float(self.mass @ self.eta)
+        """P(Y = 1) = sum_i mass_i * eta_i, by ``np.einsum`` outside BLAS, so
+        that it does not depend on the BLAS thread count."""
+        return float(np.einsum("i,i", self.mass, self.eta))
 
     def to_csv(self, path) -> None:
         """Write one row per support point, columns x_1..x_d, mass, eta."""

@@ -85,8 +85,7 @@ class SmoothnessSpec:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
+        object.__setattr__(self, "beta", _positive(self.beta, "beta"))
 
 
 class BandwidthScale(NamedTuple):
@@ -116,11 +115,14 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return int(value)
 
 
-def _bandwidth(h) -> float:
-    h = float(h)
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"bandwidth h must be positive and finite, got {h!r}")
-    return h
+def _positive(value, name: str) -> float:
+    """``value`` as a float; booleans, values that are not real numbers and
+    values that are not positive and finite raise a ValueError that names
+    ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) \
+            or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def _as_batch(x, d: int) -> tuple[np.ndarray, bool]:
@@ -251,7 +253,7 @@ class LocalPolyEstimate:
 
     def __init__(self, data: LabeledDataset, degree: int, h: float):
         self.degree = degree = _integer(degree, "degree", 0)
-        self.h = _bandwidth(h)
+        self.h = _positive(h, "bandwidth h")
         self._data = data
         # exponents of the monomials of degree <= 2p, by degree, and the
         # indices among them of the products of those of degree <= p
@@ -580,7 +582,7 @@ def fit_from_config(data: LabeledDataset,
     method = cfg.pop("method", "kernel")
     if method not in _ESTIMATORS:
         raise ValueError(f"unknown estimator method {method!r}")
-    spec = SmoothnessSpec(beta=float(cfg.pop("beta", 1.0)))
+    spec = SmoothnessSpec(beta=cfg.pop("beta", 1.0))
     scale = default_bandwidth(data.n, spec, data.d)
     if method == "knn":
         cfg.setdefault("k", min(data.n, max(1, int(np.ceil(scale.a_n)))))

@@ -75,6 +75,9 @@ class ExperimentConfig:
         if not isinstance(method, str) or method not in _ESTIMATORS:
             raise ValueError("estimator must be a dict whose method is one of "
                              f"{', '.join(_ESTIMATORS)}, got {est!r}")
+        if "beta" in est:
+            raise ValueError("estimator must not set beta, which each replicate "
+                             f"takes from the family, got {est!r}")
 
     def unlabeled_size(self, n: int) -> int:
         if self.n_rule == "n":

@@ -192,51 +192,16 @@ def _level_equation(slope: float, x0: float, alpha_target: float):
     return equation
 
 
-_BRENT_XTOL = 1e-15
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_ITER = 100
-
-
-def _brentq(f, xa: float, xb: float) -> float:
-    """Root of ``f`` in [xa, xb], where f(xa) and f(xb) are nonzero and of
-    opposite signs, by Brent's method, step for step as
-    scipy.optimize.brentq (scipy's brentq.c) with xtol 1e-15 and its default
-    rtol and iteration count, so the root is the same float; here it spares
-    the import of scipy.optimize."""
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    for _ in range(_BRENT_ITER):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
+def _crossing(f, lo: float, hi: float) -> float:
+    """For f(lo) < 0 <= f(hi), halve [lo, hi] until lo and hi are adjacent
+    floats and return hi: a float at which f is not negative while it is
+    negative one float lower."""
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if f(mid) < 0:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise ConstructionError("the crossing level did not converge")
+            hi = mid
+    return hi
 
 
 def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
@@ -246,7 +211,8 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
     alpha_target.  The crossing level c is solved so that it coincides with
     theta* (b = 1): eta is a power clipped at 0 and 1, so E eta and
     E(eta - c)_+ have closed forms and c is the root of c E eta - E(eta - c)_+,
-    found by bracketing.  The margin probabilities are exact as well."""
+    found by bisection to adjacent floats.  The margin probabilities are
+    exact as well."""
     if not (0.0 < beta <= 1.0):
         raise ConstructionError(f"beta must lie in (0, 1], got {beta!r}")
     if not (alpha_target > 0):
@@ -258,9 +224,9 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
     exponent = 1.0 / alpha_target
     equation = _level_equation(slope, x0, alpha_target)
     lo, hi = 0.02, 0.49
-    if equation(lo) >= 0 or equation(hi) <= 0:
+    if not (equation(lo) < 0 < equation(hi)):
         raise ConstructionError("could not bracket the crossing level")
-    level = _brentq(equation, lo, hi)
+    level = _crossing(equation, lo, hi)
 
     def eta_flat(x_flat):
         dx = x_flat - x0
@@ -352,10 +318,7 @@ class HardFamilyParams:
 
 
 def _ball_volume(d: int, r: float) -> float:
-    # scipy's gamma, not math.gamma: the two differ in the last bit at odd d
-    from scipy.special import gamma as gamma_fn
-
-    return math.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0) * r ** d
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r ** d
 
 
 @functools.cache
@@ -385,9 +348,6 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
     # b' is the average bump height over a mass ball.  The balls have radius
     # 1/(4q) and u(q r) = 1 for q r <= 1/4, so eta sits at its peak on them.
     b_prime = phi_max
-    if b_prime > 1.0 / 8.0 + 1e-12:
-        raise ConstructionError(
-            f"b_prime = {b_prime:.6g} violates the regime bound b_prime <= 1/8")
     mw = m * w
     tau = 1.0 / 3.0 + (1.0 / 12.0 - 2.0 * b_prime / 3.0) * (2.0 * mw / (1.0 - 2.0 * mw))
     if not (0.25 < tau <= 1.0):

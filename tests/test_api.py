@@ -70,6 +70,17 @@ assert main(["predict", "--model", "model", "--points", "unl.csv",
     assert len((tmp_path / "preds.csv").read_text().splitlines()) == 401
 
 
+def test_building_families_loads_no_scipy(tmp_path):
+    # the smooth family's level is bisected, and the hard family's ball
+    # volume takes Gamma from math; d = 3 needs Gamma at a half-integer
+    code = """
+from fscore import HardFamilyParams, build_hard_family, make_smooth_1d_family
+make_smooth_1d_family(alpha_target=2.0)
+build_hard_family(HardFamilyParams(d=3, beta=1.0, q=3, m=5, w=0.03))
+"""
+    assert _modules_after(code, tmp_path) == []
+
+
 def test_knn_loads_scipy_spatial(tmp_path):
     code = """
 import numpy as np

@@ -144,12 +144,18 @@ def test_train_rejects_invalid_hyperparameters(tmp_path, capsys):
     for estimator, field in (('{"method": "knn", "k": 2.7}', "k"),
                              ('{"method": "knn", "k": true}', "k"),
                              ('{"method": "local_poly", "degree": 1.5}', "degree"),
-                             ('{"method": "kernel", "h": NaN}', "h")):
+                             ('{"method": "kernel", "h": NaN}', "h"),
+                             ('{"method": "kernel", "h": true}', "h"),
+                             ('{"method": "kernel", "h": "abc"}', "h"),
+                             ('{"method": "kernel", "h": null}', "h"),
+                             ('{"method": "kernel", "beta": true}', "beta"),
+                             ('{"method": "kernel", "beta": "x"}', "beta"),
+                             ('{"method": "local_poly", "beta": Infinity}', "beta")):
         code, _, stderr = run_cli(capsys, "train", *data, "--estimator",
                                   estimator, "--out", str(tmp_path / "model"))
         record = json.loads(stderr)
         assert code == 2 and record["error"] == "ValueError"
-        assert record["message"].startswith(("k ", "degree ", "bandwidth h "))
+        assert record["message"].startswith(("k ", "degree ", "bandwidth h ", "beta "))
         assert f"{field} must" in record["message"]
     code, _, stderr = run_cli(capsys, "train", *data, "--b", "inf",
                               "--out", str(tmp_path / "model"))
@@ -169,6 +175,17 @@ def test_train_requires_unlabeled(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "--unlabeled" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_rate_rejects_estimator_beta(tmp_path, capsys):
+    # each replicate fits with the family's beta, so an estimator beta ran
+    # without effect while the report recorded it
+    code, stdout, stderr = run_cli(capsys, "rate", "--estimator",
+                                   '{"method": "kernel", "beta": 0.25}',
+                                   "--out", str(tmp_path / "rep"))
+    record = json.loads(stderr)
+    assert code == 2 and stdout == "" and record["error"] == "ValueError"
+    assert "beta" in record["message"] and not (tmp_path / "rep").exists()
 
 
 def test_error_record_on_failure(tmp_path, capsys):

@@ -245,12 +245,14 @@ def test_excess_modes_agree():
 
 
 def test_excess_does_not_depend_on_blas_threads(tmp_path):
-    # the excess was a BLAS dot product, which OpenBLAS splits over its
-    # threads, so its last bits moved with the thread count
+    # the excess, and P(Y = 1) in its denominator, were BLAS dot products,
+    # which OpenBLAS splits over its threads, so their last bits moved with
+    # the thread count
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     code = """
 import numpy as np
 from fscore.core import lemma1_excess
+from fscore.discrete import DiscreteDistribution
 rng = np.random.default_rng(0)
 k = 200_000
 for _ in range(10):
@@ -258,6 +260,8 @@ for _ in range(10):
     bits = (rng.random(k) < 0.5).astype(np.int64)
     print(repr(lemma1_excess(mass / mass.sum(), rng.random(k), rng.random(k) < 0.5,
                              bits, 1.0, 0.4)))
+    print(repr(DiscreteDistribution(support=np.zeros((k, 1)), mass=mass / mass.sum(),
+                                    eta=rng.random(k)).p_y1))
 """
     values = set()
     for threads in ("1", "2"):

@@ -44,7 +44,8 @@ def test_config_validation(tmp_path):
                          (dict(estimator=None), "estimator"),
                          (dict(estimator=[("method", "knn")]), "estimator"),
                          (dict(estimator={"method": ["knn"]}), "estimator"),
-                         (dict(estimator={"method": None}), "estimator")):
+                         (dict(estimator={"method": None}), "estimator"),
+                         (dict(estimator={"method": "kernel", "beta": 0.25}), "beta")):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(**kwargs)
     # integral floats are accepted, and stored as ints

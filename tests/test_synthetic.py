@@ -329,18 +329,22 @@ def test_discretizer_reproducible():
     np.testing.assert_array_equal(a.eta, b.eta)
 
 
-def test_brentq_port_matches_scipy():
-    # the crossing level's own Brent solve gives scipy's root bit for bit
-    # on every bracketed (alpha, slope, x0) of a grid
+def test_crossing_level_is_a_sign_change_between_adjacent_floats():
+    # on every bracketed (alpha, slope, x0) of a grid, the level L has
+    # f(L) >= 0 > f(the float below L), and it lies within 128 ulps of
+    # scipy's brentq root
     from fscore import synthetic
     bracketed = 0
     for alpha in np.geomspace(0.2, 5.0, 29):
         for slope in np.geomspace(0.05, 20.0, 30):
             for x0 in np.linspace(0.05, 0.95, 19):
                 equation = synthetic._level_equation(float(slope), float(x0), float(alpha))
-                if equation(0.02) >= 0 or equation(0.49) <= 0:
+                if not (equation(0.02) < 0 < equation(0.49)):
                     continue
                 bracketed += 1
-                assert synthetic._brentq(equation, 0.02, 0.49) == \
-                    brentq(equation, 0.02, 0.49, xtol=1e-15), (alpha, slope, x0)
+                level = synthetic._crossing(equation, 0.02, 0.49)
+                assert equation(np.nextafter(level, 0.0)) < 0 <= equation(level), \
+                    (alpha, slope, x0)
+                root = brentq(equation, 0.02, 0.49, xtol=1e-15)
+                assert abs(level - root) <= 128 * np.spacing(root), (alpha, slope, x0)
     assert bracketed > 12_000
