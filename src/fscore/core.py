@@ -232,22 +232,30 @@ def excess_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParam
     (``lemma1_excess``)."""
     bits = as_bits(dist, g)
     theta = bayes_threshold(dist, params)
-    return lemma1_excess(dist.mass, np.abs(dist.eta - theta), dist.eta > theta,
-                         bits, params.b2, dist.p_y1)
+    star = dist.eta > theta
+    return lemma1_excess(dist.mass, np.abs(dist.eta - theta), star, bits,
+                         params.b2, dist.p_y1, float(dist.mass[star].sum()))
 
 
-def lemma1_excess(mass, gap, star, bits, b2: float, p_y1: float) -> float:
+def lemma1_excess(mass, gap, star, bits, b2: float, p_y1: float, p_star: float) -> float:
     """Excess F_b(g*) - F_b(g) by the weighted-disagreement
     identity (Lemma 1):
 
         sum_i mass_i |eta_i - theta*| 1{g_i != g*_i} / (b^2 P(Y=1) + P(g = 1))
 
-    with ``gap`` = |eta - theta*|, ``star`` the bits of g* = 1{eta > theta*}
-    and ``bits`` those of g, all over the support points.
+    with ``gap`` = |eta - theta*|, ``star`` the boolean bits of
+    g* = 1{eta > theta*} and ``bits`` those of g, all over the support
+    points, and ``p_star`` = P(g* = 1).
 
-    Both sums are taken by ``np.einsum`` in a fixed order outside BLAS, so
-    the excess does not depend on the BLAS thread count.
+    Both sums run only over the atoms D where g and g* disagree, which a
+    margin condition keeps few: P(g = 1) is P(g* = 1) plus the mass of D
+    where g = 1, less that of D where g* = 1.  Every sum is numpy's
+    pairwise ``np.sum`` outside BLAS, so the excess does not depend on the
+    BLAS thread count, and g = g* gives exactly 0.0.
     """
-    num = float(np.einsum("i,i,i", mass, gap, bits != star))
-    den = b2 * p_y1 + float(np.einsum("i,i", mass, bits))
+    disagree = np.flatnonzero(bits != star)
+    on = star[disagree]  # g* = 1, so g = 0, on D
+    weight = mass[disagree]
+    num = float(np.sum(weight * gap[disagree]))
+    den = b2 * p_y1 + (p_star + float(weight[~on].sum()) - float(weight[on].sum()))
     return num / den

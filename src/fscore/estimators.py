@@ -31,8 +31,10 @@ _PREFIX_CHUNK = 16_384
 # Sum w at or below which the 1-d sweep takes 1-NN: prefix sums of a window
 # cancel only to rounding noise.
 _PREFIX_FLOOR = 1e-12
-# Sorted queries per span whose bits ``exceeds`` certifies from one query.
+# Sorted queries per span whose bits ``exceeds`` certifies from one query,
+# and the spans of _SPAN in each of the coarser spans it certifies first.
 _SPAN = 64
+_COARSE = 4
 _U = 2.0 ** -53  # unit roundoff of float64
 # Least eigenvalue of a regular local design's Gram matrix scaled to unit
 # diagonal: 1-d window moments carry rounding of about 1e-11 of their prefix
@@ -313,10 +315,12 @@ class LocalPolyEstimate:
 
     def exceeds(self, x, theta) -> np.ndarray | bool:
         """The bits 1{eta_hat(x) > theta}, equal to ``evaluate(x) > theta``.
-        The 1-d degree-0 sweep sorts the queries, certifies the bits of whole
-        spans of them from one query each (``_AnchoredPrefix.certify``) and
-        evaluates only the spans it cannot certify; every other case, and a
-        theta outside [0, 1), compares ``evaluate``."""
+        The 1-d degree-0 sweep sorts the queries and certifies the bits of
+        whole spans of them from one query each (``_AnchoredPrefix.certify``):
+        spans of _COARSE * _SPAN queries first, then the spans of _SPAN of
+        those it cannot certify; it evaluates only the spans of _SPAN it
+        still cannot certify.  Every other case, and a theta outside [0, 1),
+        compares ``evaluate``."""
         if self._prefix is None or self.degree or not 0.0 <= theta < 1.0:
             return self.evaluate(x) > theta
         queries, single = _as_batch(x, 1)
@@ -326,11 +330,23 @@ class LocalPolyEstimate:
         order = None if np.all(t[1:] >= t[:-1]) else np.argsort(t)
         if order is not None:
             t = t[order]
-        above, sure = self._prefix.certify(t, float(theta))
-        bits = np.repeat(above, _SPAN)[:t.size]
-        doubt = (np.flatnonzero(~sure)[:, None] * _SPAN + np.arange(_SPAN)).ravel()
-        doubt = doubt[doubt < t.size]  # the last span may be short
+        theta = float(theta)
+
+        def certify(first, size):  # the last span may be short
+            return self._prefix.certify(t, theta, first, np.minimum(first + size, t.size) - 1)
+
+        above, sure = certify(np.arange(0, t.size, _COARSE * _SPAN), _COARSE * _SPAN)
+        spans = np.repeat(above, _COARSE)  # the bit of each span of _SPAN
+        doubt = (np.flatnonzero(~sure)[:, None] * _COARSE + np.arange(_COARSE)).ravel()
+        doubt = doubt[doubt * _SPAN < t.size]
         if doubt.size:
+            above, sure = certify(doubt * _SPAN, _SPAN)
+            spans[doubt] = above
+            doubt = doubt[~sure]
+        bits = np.repeat(spans, _SPAN)[:t.size]
+        if doubt.size:
+            doubt = (doubt[:, None] * _SPAN + np.arange(_SPAN)).ravel()
+            doubt = doubt[doubt < t.size]
             bits[doubt] = self.evaluate(t[doubt, None]) > theta
         if order is not None:
             bits[order] = bits.copy()
@@ -450,11 +466,14 @@ class _AnchoredPrefix:
             ranges.append(np.cumsum(steps, out=steps))
         return (*ranges, None)
 
-    def certify(self, t: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Over ascending ``t``, for degree 0 and 0 <= theta < 1: per span of
-        _SPAN consecutive queries (the last may be shorter), the bit that
+    def certify(self, t: np.ndarray, theta: float, first: np.ndarray,
+                last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Over ascending ``t``, for degree 0 and 0 <= theta < 1: per span
+        t[first_i], .., t[last_i] (first_i <= last_i), the bit that
         ``evaluate(t) > theta`` gives every query of the span, and whether
         that is certified; an uncertified span is still to be evaluated.
+        Nothing below depends on the length of a span, so one proof covers
+        spans of any length.
 
         Each span t_0 <= .. <= t_e is decided by its middle query m.  Write
         D = sum w and N = sum w y for the exact sums over |x_i - t| < h,
@@ -509,9 +528,7 @@ class _AnchoredPrefix:
         N^/D^ > theta (1 + u), which rounds above theta; clipping to [0, 1]
         keeps either side of a theta in [0, 1).  The span takes that sign.
         """
-        h, m, x = self.h, t.size, self.x
-        first = np.arange(0, m, _SPAN)
-        last = np.minimum(first + _SPAN, m) - 1
+        h, x = self.h, self.x
         lo, hi = t[first], t[last]
         mid = t[(first + last) // 2]
         top = np.maximum(np.abs(lo), np.abs(hi))

@@ -28,6 +28,8 @@ import json
 import math
 import os
 import pickle
+import sys
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -124,10 +126,11 @@ class _Oracle:
         self.star = self.dist.eta > self.theta
         self.gap = np.abs(self.dist.eta - self.theta)
         self.p_y1 = self.dist.p_y1
+        self.p_star = float(self.dist.mass[self.star].sum())
 
     def excess(self, bits: np.ndarray) -> float:
         return lemma1_excess(self.dist.mass, self.gap, self.star, bits,
-                             self.b2, self.p_y1)
+                             self.b2, self.p_y1, self.p_star)
 
 
 @dataclass(frozen=True)
@@ -228,15 +231,26 @@ def _run_cells(family, oracle, cfg, cells: list) -> list:
     This process runs the first share and a forked child each other share
     (``_fork_share``).  On any error, that of this process's share first
     and then those of the children in worker order, the children are
-    killed and reaped before it propagates; no child outlives the call."""
+    killed and reaped before it propagates; no child outlives the call.
+
+    Every warning a cell raises, in any worker, is recorded there and
+    raised again here once all cells are done, in the order of ``cells``,
+    so the caller's warning filters see the same warnings for every W."""
     workers = min(_usable_cpus(), len(cells)) if hasattr(os, "fork") else 1
 
     def run(share):
-        return [_replicate(family, oracle, cfg, *cells[i]) for i in share]
+        out = []
+        for i in share:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = _replicate(family, oracle, cfg, *cells[i])
+            out.append((result, [(w.category, str(w.message), w.filename, w.lineno,
+                                  _module_of(w.filename)) for w in caught]))
+        return out
 
     order = sorted(range(len(cells)), key=lambda i: -cells[i][0])
     shares = [order[w::workers] for w in range(workers)]
-    results = [None] * len(cells)
+    results = [None] * len(cells)  # (result, warning records) per cell
     pids, reads = [], []  # until reaped, and until closed
     try:
         for share in shares[1:]:
@@ -268,7 +282,27 @@ def _run_cells(family, oracle, cfg, cells: list) -> list:
             for pid in pids:  # unreaped, so the pid is still this child's
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return results
+    # each under the name and in the registry of the module that raised it,
+    # as ``warnings.warn`` there would, so module filters match and a
+    # "default" filter shows a repeated warning once
+    unnamed = {}  # a registry per file of no loaded module
+    for _, records in results:
+        for category, message, filename, lineno, module in records:
+            registry = (vars(sys.modules[module]).setdefault("__warningregistry__", {})
+                        if module in sys.modules else unnamed.setdefault(filename, {}))
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   module=module, registry=registry)
+    return [result for result, _ in results]
+
+
+def _module_of(filename: str) -> str | None:
+    """The name of the loaded module whose source is ``filename``, or
+    None; ``warnings.warn`` takes it from the raising frame, which a
+    record does not keep."""
+    for name, module in list(sys.modules.items()):
+        if getattr(module, "__file__", None) == filename:
+            return name
+    return None
 
 
 def _fork_share(run, share) -> tuple[int, int]:

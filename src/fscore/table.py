@@ -25,9 +25,9 @@ def write_table(path, header, columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, rows, _BLOCK):
-            block = [c[start:start + _BLOCK].tolist() for c in columns]
-            fh.write("".join(",".join(map(repr, row)) + "\r\n"
-                             for row in zip(*block)))
+            # each column's reprs at once, then one join per row
+            texts = [map(repr, c[start:start + _BLOCK].tolist()) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
 
 
 def read_table(path) -> tuple[list, np.ndarray]:

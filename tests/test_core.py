@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fscore as fs
-from fscore.core import _SCAN_CHUNK, _SEGMENT_SLACK
+from fscore.core import _SCAN_CHUNK, _SEGMENT_SLACK, lemma1_excess
 
 
 def two_point():
@@ -244,6 +245,57 @@ def test_excess_modes_agree():
         assert direct >= -1e-12
 
 
+def exact_lemma1(mass, gap, star, bits, b2, p_y1):
+    """Lemma 1's num / den over all atoms, in exact rationals of the floats."""
+    num = sum((Fraction(m) * Fraction(g) for m, g, differ
+               in zip(mass.tolist(), gap.tolist(), (bits != star).tolist()) if differ),
+              Fraction(0))
+    on = sum((Fraction(m) for m, bit in zip(mass.tolist(), bits.tolist()) if bit), Fraction(0))
+    return num / (Fraction(b2) * Fraction(p_y1) + on)
+
+
+def test_sparse_excess_matches_exact_rationals():
+    # the sums over the atoms where g and g* disagree, with P(g = 1) from
+    # P(g* = 1), against num and den over every atom in exact arithmetic;
+    # zero masses and atoms at eta = theta (gap 0) included
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        k = int(rng.integers(1, 2001))
+        mass = rng.random(k)
+        mass[rng.random(k) < 0.1] = 0.0
+        mass[0] += 1.0
+        mass /= mass.sum()
+        eta = rng.random(k)
+        theta = float(rng.random()) * 0.5
+        eta[rng.random(k) < 0.1] = theta
+        gap, star = np.abs(eta - theta), eta > theta
+        b2 = float(rng.choice([0.25, 1.0, 4.0]))
+        p_y1 = float(mass @ eta)
+        kind = ("same", "negated", "flipped", "random")[trial % 4]
+        bits = {"same": star.copy(), "negated": ~star,
+                "flipped": star ^ (rng.random(k) < 0.05),
+                "random": rng.random(k) < 0.5}[kind]
+        p_star = float(mass[star].sum())
+        got = lemma1_excess(mass, gap, star, bits, b2, p_y1, p_star)
+        # as_bits gives int64 bits; excess_fbeta passes them as they are
+        assert lemma1_excess(mass, gap, star, bits.astype(np.int64), b2, p_y1, p_star) == got
+        if kind == "same":
+            assert got == 0.0 and type(got) is float
+            continue
+        exact = exact_lemma1(mass, gap, star, bits, b2, p_y1)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact, (trial, kind)
+    # and through excess_fbeta, whose theta* is the law's own
+    for _ in range(20):
+        d = fs.random_distribution(rng, k_max=2000)
+        p = fs.FBetaParams(b=float(rng.choice([0.5, 1.0, 2.0])))
+        theta = fs.bayes_threshold(d, p)
+        g = rng.random(d.size) < 0.5
+        exact = exact_lemma1(d.mass, np.abs(d.eta - theta), d.eta > theta, g, p.b2, d.p_y1)
+        got = fs.excess_fbeta(d, g, p)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+        assert fs.excess_fbeta(d, d.eta > theta, p) == 0.0
+
+
 def test_excess_does_not_depend_on_blas_threads(tmp_path):
     # the excess, and P(Y = 1) in its denominator, were BLAS dot products,
     # which OpenBLAS splits over its threads, so their last bits moved with
@@ -257,10 +309,11 @@ rng = np.random.default_rng(0)
 k = 200_000
 for _ in range(10):
     mass = rng.random(k)
+    mass /= mass.sum()
     bits = (rng.random(k) < 0.5).astype(np.int64)
-    print(repr(lemma1_excess(mass / mass.sum(), rng.random(k), rng.random(k) < 0.5,
-                             bits, 1.0, 0.4)))
-    print(repr(DiscreteDistribution(support=np.zeros((k, 1)), mass=mass / mass.sum(),
+    gap, star = rng.random(k), rng.random(k) < 0.5
+    print(repr(lemma1_excess(mass, gap, star, bits, 1.0, 0.4, float(mass[star].sum()))))
+    print(repr(DiscreteDistribution(support=np.zeros((k, 1)), mass=mass,
                                     eta=rng.random(k)).p_y1))
 """
     values = set()

@@ -1,7 +1,11 @@
+import importlib.util
 import json
 import math
 import os
+import re
+import sys
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -449,6 +453,90 @@ def test_unpicklable_worker_error_is_named(monkeypatch):
         run_experiment(ExperimentConfig(family="constant", n_grid=(100, 200),
                                         reps=1, oracle_atoms=100))
     assert_no_child_left()
+
+
+def test_worker_warnings_reach_the_caller(monkeypatch):
+    # a warning raised in a forked worker was lost: the caller saw 4 at
+    # W = 1 and 2 at W = 2.  Every cell's warnings now come back and are
+    # raised again in (n, rep) order, the same for every W
+    replicate = harness._replicate
+    text = ["cell {n} {seed}"]
+
+    def warning(family, oracle, cfg, n, seed):
+        warnings.warn(text[0].format(n=n, seed=seed), fs.DegenerateScoreSample)
+        return replicate(family, oracle, cfg, n, seed)
+
+    def caught(cpus, action):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter(action)
+            run_experiment(cfg)
+        assert_no_child_left()
+        return [(w.category, str(w.message), w.filename, w.lineno) for w in records]
+
+    monkeypatch.setattr(harness, "_replicate", warning)
+    cfg = ExperimentConfig(n_grid=(100, 200), reps=2, oracle_atoms=2000)
+    always = caught(1, "always")
+    assert caught(2, "always") == always
+    assert [(c, m) for c, m, _, _ in always] == [
+        (fs.DegenerateScoreSample, "cell 100 0"), (fs.DegenerateScoreSample, "cell 100 1"),
+        (fs.DegenerateScoreSample, "cell 200 1000003"),
+        (fs.DegenerateScoreSample, "cell 200 1000004")]
+    assert always[0][2] == __file__
+    # under the name of the module that raised them, so a filter on that
+    # module matches them and one on another module does not
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        for module, expected in ((re.escape(__name__) + r"\Z", []), (r"fscore\.", always)):
+            with warnings.catch_warnings(record=True) as records:
+                warnings.simplefilter("always")
+                warnings.filterwarnings("ignore", module=module)
+                run_experiment(cfg)
+            assert_no_child_left()
+            assert [(w.category, str(w.message), w.filename, w.lineno)
+                    for w in records] == expected
+    # the caller's filters apply to them: a "default" filter shows a warning
+    # that every cell repeats once, and an error filter raises
+    text[0] = "every cell"
+    for cpus in (1, 2):
+        assert [m for _, m, _, _ in caught(cpus, "default")] == ["every cell"]
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", fs.DegenerateScoreSample)
+            with pytest.raises(fs.DegenerateScoreSample, match="every cell"):
+                run_experiment(cfg)
+        assert_no_child_left()
+
+
+def test_worker_warnings_keep_their_module(monkeypatch, tmp_path):
+    # the same text, category and line raised in two modules are two
+    # warnings to a "default" filter, as they are where they were raised
+    paths = [tmp_path / "first_raiser.py", tmp_path / "second_raiser.py"]
+    raisers = []
+    for path in paths:
+        path.write_text("import warnings\n"
+                        "def warn(category): warnings.warn('same', category)\n")
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setitem(sys.modules, path.stem, module)
+        raisers.append(module.warn)
+    replicate = harness._replicate
+
+    def warning(*args):
+        for warn in raisers:
+            warn(fs.DegenerateScoreSample)
+        return replicate(*args)
+
+    monkeypatch.setattr(harness, "_replicate", warning)
+    cfg = ExperimentConfig(n_grid=(100, 200), reps=2, oracle_atoms=2000)
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("default")
+            run_experiment(cfg)
+        assert_no_child_left()
+        assert [w.filename for w in records] == [str(p) for p in paths]
 
 
 def test_workers_are_one_per_usable_cpu(monkeypatch):

@@ -90,12 +90,18 @@ def evaluated_bits(clf, x):
 
 
 @st.composite
-def threshold_cases(draw):
+def threshold_cases(draw, wide=False):
     """A 1-d model of any method, a theta in [0, 1) and queries that stress
     a certificate: features spread over h/2 to 30 h, tied or not and offset
     by 1e5 or not; dense queries across x_i -+ h, queries at exactly
     x_i -+ h and beyond the data (the 1-NN fallback); theta = 0 or a value
-    eta_hat attains; ascending or shuffled order."""
+    eta_hat attains; ascending or shuffled order.
+
+    ``wide`` instead takes labels mixed or all one and 1 024 to 40 000
+    queries evenly over the data alone, where whole spans of 256 are
+    certified, failed ones are cut into spans of 64 and the last span is
+    short at both levels (every span of 256 certified for all-one labels,
+    so none is refined)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(2, 150))
     h = draw(st.sampled_from([0.03, 0.125, 0.4]))
@@ -103,15 +109,20 @@ def threshold_cases(draw):
     u = rng.integers(0, 8, n) / 8.0 if draw(st.booleans()) else rng.random(n)
     labels = (rng.random(n) < 0.2 + 0.6 * u).astype(float)
     labels[0] = 1.0
+    if wide and draw(st.booleans()):
+        labels[:] = 1.0
     x = offset + draw(st.sampled_from([0.5, 3.0, 30.0])) * h * u
     method = draw(st.sampled_from(["kernel", "knn", "local_poly"]))
     config = {"method": "knn"} if method == "knn" else {"method": method, "h": h}
     eta_hat = fs.fit_from_config(LabeledDataset(points=x[:, None], labels=labels), config)
-    edges = np.concatenate([x[:4] + h, x[:4] - h])
-    queries = np.concatenate([
-        np.linspace(x.min() - 2 * h, x.max() + 2 * h, draw(st.integers(1, 3000))),
-        (edges[:, None] + np.linspace(-h, h, 200) / 20).ravel(),
-        x + h, x - h, x, offset + np.array([-50.0, 40.0])])
+    if wide:
+        queries = np.linspace(x.min(), x.max(), draw(st.integers(1024, 40_000)))
+    else:
+        edges = np.concatenate([x[:4] + h, x[:4] - h])
+        queries = np.concatenate([
+            np.linspace(x.min() - 2 * h, x.max() + 2 * h, draw(st.integers(1, 3000))),
+            (edges[:, None] + np.linspace(-h, h, 200) / 20).ravel(),
+            x + h, x - h, x, offset + np.array([-50.0, 40.0])])
     if draw(st.booleans()):
         queries.sort()
     else:
@@ -126,25 +137,111 @@ def threshold_cases(draw):
     return clf, queries[:, None]
 
 
+def assert_bits_are_the_evaluated_threshold(clf, queries):
+    expected = evaluated_bits(clf, queries)
+    bits = clf.predict(queries)
+    assert bits.dtype == np.int64
+    np.testing.assert_array_equal(bits, expected)
+    exceeds = clf.eta_hat.exceeds(queries, clf.theta_hat)
+    assert exceeds.dtype == bool
+    np.testing.assert_array_equal(exceeds, expected)
+
+
 @settings(max_examples=120, deadline=None)
 @given(threshold_cases())
 def test_predict_is_the_evaluated_threshold(case):
-    clf, queries = case
-    bits = clf.predict(queries)
-    assert bits.dtype == np.int64
-    np.testing.assert_array_equal(bits, evaluated_bits(clf, queries))
+    assert_bits_are_the_evaluated_threshold(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(threshold_cases(wide=True))
+def test_predict_over_many_queries_is_the_evaluated_threshold(case):
+    assert_bits_are_the_evaluated_threshold(*case)
+
+
+def certified_spans(monkeypatch):
+    """(first, last, sure) of every ``certify`` call, in call order."""
+    calls = []
+    certify = estimators._AnchoredPrefix.certify
+
+    def recorded(self, t, theta, first, last):
+        above, sure = certify(self, t, theta, first, last)
+        calls.append((first.copy(), last.copy(), sure.copy()))
+        return above, sure
+    monkeypatch.setattr(estimators._AnchoredPrefix, "certify", recorded)
+    return calls
+
+
+def test_exceeds_certifies_spans_of_256_then_spans_of_64(monkeypatch):
+    # 120 spans of 256 over the data, where eta_hat crosses theta, then a
+    # short span of 100 queries past the data, whose windows are empty
+    fam = fs.make_smooth_1d_family()
+    labeled = fs.sample(fam, 400, seed=3)
+    est = fs.fit_from_config(labeled, {"method": "kernel"})
+    x = labeled.points[:, 0]
+    queries = np.concatenate([np.linspace(x.min(), x.max(), 256 * 120),
+                              x.max() + 1.0 + np.arange(100.0)])[:, None]
+    values = est.evaluate(queries)
+    theta = float(values[15_000])
+    calls = certified_spans(monkeypatch)
+    np.testing.assert_array_equal(est.exceeds(queries, theta), values > theta)
+    (first, last, sure), (fine_first, fine_last, fine_sure) = calls
+    span, coarse = estimators._SPAN, estimators._COARSE * estimators._SPAN
+    np.testing.assert_array_equal(first, np.arange(0, queries.shape[0], coarse))
+    assert (last - first + 1)[-1] == 100 and np.all((last - first + 1)[:-1] == coarse)
+    # a coarse span certified whole, the short one not
+    assert sure[:-1].any() and not sure[-1]
+    # only the failed coarse spans are cut into spans of 64, the last two of
+    # the short one into 64 and 36
+    refined = fine_first // coarse
+    np.testing.assert_array_equal(np.unique(refined), np.flatnonzero(~sure))
+    assert np.all(fine_first % span == 0)
+    assert np.all(fine_last == np.minimum(fine_first + span, queries.shape[0]) - 1)
+    assert list(fine_last[-2:] - fine_first[-2:] + 1) == [64, 36]
+    assert not fine_sure[-2:].any()
+    # a failed coarse span whose spans of 64 are part certified, part doubtful
+    mixed = [c for c in np.unique(refined)[:-1]
+             if fine_sure[refined == c].any() and not fine_sure[refined == c].all()]
+    assert mixed
+
+
+def test_exceeds_with_every_coarse_span_certified(monkeypatch):
+    # nothing is left to refine: the constant family's 200 000 oracle atoms,
+    # and all-one labels, whose eta_hat is 1 over the data
+    calls = certified_spans(monkeypatch)
+    fam = fs.make_constant_family()
+    clf = fs.train_plugin(fs.sample(fam, 1000, seed=1),
+                          fs.sample(fam, 1000, seed=2, labeled=False), {"method": "kernel"})
+    atoms = fam.discretize(200_000).support
+    np.testing.assert_array_equal(clf.eta_hat.exceeds(atoms, clf.theta_hat),
+                                  clf.eta_hat.evaluate(atoms) > clf.theta_hat)
+    assert len(calls) == 1 and calls[0][2].all()
+    calls.clear()
+    x = np.random.default_rng(0).random((300, 1))
+    ones = fs.fit_from_config(LabeledDataset(points=x, labels=np.ones(300)), {"method": "kernel"})
+    grid = np.linspace(x.min(), x.max(), 5000)[:, None]
+    assert ones.exceeds(grid, 0.5).all() and (ones.evaluate(grid) > 0.5).all()
+    assert len(calls) == 1 and calls[0][2].all()
 
 
 @pytest.mark.parametrize("n", [250, 64_000])
 def test_predict_certifies_most_oracle_atoms(monkeypatch, n):
-    # the harness's excess takes predict over the 200 000 oracle atoms; all
-    # but the doubtful spans are certified without reaching the sweep
+    # the harness's excess takes predict over the 200 000 oracle atoms.
+    # Spans of 256 atoms are certified first and only the failed ones are
+    # cut into spans of 64, so fewer queries reach the sweep than with spans
+    # of 64 alone: their 3 125 middle queries and the atoms of the doubtful
+    # ones.  All but the doubtful spans are certified without the sweep
     fam = fs.make_smooth_1d_family()
     clf = fs.train_plugin(fs.sample(fam, n, seed=n),
                           fs.sample(fam, n, seed=n + 1, labeled=False),
                           {"method": "kernel"})
     atoms = fam.discretize(200_000).support
     expected = evaluated_bits(clf, atoms)
+    t = atoms[:, 0]  # ascending
+    first = np.arange(0, t.size, estimators._SPAN)
+    _, sure = clf.eta_hat._prefix.certify(
+        t, clf.theta_hat, first, np.minimum(first + estimators._SPAN, t.size) - 1)
+    single = first.size + estimators._SPAN * np.count_nonzero(~sure)
     swept = []
     moments = estimators._AnchoredPrefix.moments
 
@@ -153,7 +250,7 @@ def test_predict_certifies_most_oracle_atoms(monkeypatch, n):
         return moments(self, t)
     monkeypatch.setattr(estimators._AnchoredPrefix, "moments", counted)
     np.testing.assert_array_equal(clf.predict(atoms), expected)
-    assert 0 < sum(swept) < 0.1 * atoms.shape[0]
+    assert 0 < sum(swept) < min(single, 0.1 * atoms.shape[0])
 
 
 @pytest.mark.parametrize("method", ["kernel", "knn", "local_poly"])

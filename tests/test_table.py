@@ -1,5 +1,6 @@
 """Golden bytes of every CSV file the package writes, and their read-back."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import fscore as fs
 from fscore.harness import RateFitResult, emit_report
 from fscore.plugin import predictions_to_csv
+from fscore.table import write_table
 
 
 def test_labeled_csv_bytes(tmp_path):
@@ -43,6 +45,24 @@ def test_predictions_csv_bytes(tmp_path):
     path = tmp_path / "preds.csv"
     predictions_to_csv(path, np.array([[0.1, 5.0], [0.9, 1e20]]), np.array([0, 1]))
     assert path.read_bytes() == b"x_1,x_2,prediction\r\n0.1,5.0,0\r\n0.9,1e+20,1\r\n"
+
+
+def test_table_bytes_across_blocks(tmp_path):
+    # 8193 rows cross the 8192-row block that is formatted per write; float,
+    # int, bool and None columns.  The digest is that of the rows formatted
+    # one at a time, as ",".join(map(repr, row)) + "\r\n"
+    path = tmp_path / "blocks.csv"
+    i = np.arange(8193)
+    write_table(path, ["f", "i", "b", "none"],
+                [i / 7.0 - 500.0, (i * 37) % 1001 - 500, i % 3 == 0, [None] * 8193])
+    data = path.read_bytes()
+    assert data.startswith(b"f,i,b,none\r\n-500.0,-500,True,None\r\n"
+                           b"-499.85714285714283,-463,False,None\r\n")
+    assert data.endswith(b"\r\n670.1428571428571,265,False,None\r\n"
+                         b"670.2857142857142,302,False,None\r\n")
+    assert data.count(b"\r\n") == 8194 and len(data) == 271086
+    assert hashlib.sha256(data).hexdigest() == \
+        "a9e072087974358aa7d6f688d4f1c2a85821482273b9c75d9c7797cb5380c491"
 
 
 def test_discrete_distribution_csv_bytes(tmp_path):
