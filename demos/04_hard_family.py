@@ -14,7 +14,7 @@ params = fs.HardFamilyParams(d=1, beta=1.0, q=8, m=3, w=0.02)
 family = fs.build_hard_family(params, seed=0)
 ex = family.extras
 
-print(f"C_phi = {ex['C_phi']}  (one bump constant for every q: min(L / |u|_beta, 1/8))")
+print(f"C_phi = {ex['C_phi']}  (one bump constant for every q: min(1 / |u|_beta, 1/8))")
 print(f"b' = {ex['b_prime']:.6f}  (cell-average bump height; regime needs <= 1/8)")
 print(f"tau = {ex['tau']:.6f}, rho = {ex['rho']}, sigma = {ex['sigma']}")
 print(f"bump peak phi_max = {ex['phi_max']:.6f}")

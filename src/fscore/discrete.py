@@ -142,16 +142,11 @@ class DiscreteDistribution:
 
 
 def as_bits(dist: DiscreteDistribution, g) -> np.ndarray:
-    """Coerce a classifier to a {0,1} bit-vector over the support.
-
-    Accepts a bit-vector (sequence of 0/1 over the support points) or a
-    callable predicate evaluated point-wise on the support.
-    """
-    if callable(g):
-        bits = np.asarray([g(x) for x in dist.support])
-    else:
-        bits = np.asarray(g)
-    bits = bits.ravel()
+    """A classifier ``g``, a sequence of 0/1 over the support points, as an
+    int64 bit-vector; any other length or value raises a ValueError."""
+    bits = np.asarray(g).ravel()
+    if bits.dtype.kind not in "biuf":
+        raise ValueError(f"classifier must be 0/1 bits, got a {type(g).__name__}")
     if bits.size != dist.size:
         raise ValueError(f"classifier covers {bits.size} points, support has {dist.size}")
     as_int = bits.astype(np.int64)

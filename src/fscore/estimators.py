@@ -117,12 +117,18 @@ def _integer(value, name: str, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; booleans and values that are not real numbers
+    raise a ValueError that names ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _positive(value, name: str) -> float:
-    """``value`` as a float; booleans, values that are not real numbers and
-    values that are not positive and finite raise a ValueError that names
-    ``name``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) \
-            or not (math.isfinite(value) and value > 0):
+    """``_real(value, name)``; values that are not positive and finite raise
+    a ValueError that names ``name``."""
+    if not (math.isfinite(_real(value, name)) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 

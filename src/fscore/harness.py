@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import lemma1_excess, solve_threshold
 from .discrete import FBetaParams
-from .estimators import _ESTIMATORS, _integer
+from .estimators import _ESTIMATORS, _integer, _real
 from .plugin import TrainingDegenerate, train_plugin
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
@@ -44,6 +44,15 @@ from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_famil
 from .table import write_table
 
 _CELL_SEED_STRIDE = 1_000_003
+
+
+def _hard_family(seed=0, **params) -> AnalyticDistribution:
+    return build_hard_family(HardFamilyParams(**params), seed=seed)
+
+
+# the builder of each family name; ``family_params`` are its arguments
+_FAMILIES = {"smooth": make_smooth_1d_family, "constant": make_constant_family,
+             "two_point": make_two_point_family, "hard": _hard_family}
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,11 @@ class ExperimentConfig:
     oracle_atoms: int = 200_000
 
     def __post_init__(self):
+        if not (isinstance(self.family, str) and self.family in _FAMILIES):
+            raise ValueError(f"family must be one of {', '.join(_FAMILIES)}, "
+                             f"got {self.family!r}")
+        if not isinstance(self.family_params, dict):
+            raise ValueError(f"family_params must be a dict, got {self.family_params!r}")
         grid = tuple(_integer(n, "n_grid sizes") for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
             raise ValueError("n_grid must be nonempty and strictly increasing")
@@ -68,10 +82,13 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         # b must be positive, with b * b finite; held as a Python number
         object.__setattr__(self, "b", FBetaParams(b=self.b).b)
-        rule = self.n_rule
-        fixed = isinstance(rule, (int, np.integer)) and not isinstance(rule, bool)
-        if rule not in ("n", "n2") and not (fixed and rule >= 1):
-            raise ValueError(f"n_rule must be 'n', 'n2' or a positive int, got {rule!r}")
+        if self.n_rule not in ("n", "n2"):
+            try:
+                # a fixed N, held as a Python int as reps and seed are
+                object.__setattr__(self, "n_rule", _integer(self.n_rule, "n_rule", 1))
+            except ValueError:
+                raise ValueError("n_rule must be 'n', 'n2' or a positive int, "
+                                 f"got {self.n_rule!r}") from None
         est = self.estimator
         method = est.get("method", "kernel") if isinstance(est, dict) else None
         if not isinstance(method, str) or method not in _ESTIMATORS:
@@ -86,7 +103,7 @@ class ExperimentConfig:
             return n
         if self.n_rule == "n2":
             return n * n
-        return int(self.n_rule)
+        return self.n_rule
 
 
 @dataclass
@@ -103,17 +120,7 @@ class RateFitResult:
 
 
 def build_family(cfg: ExperimentConfig) -> AnalyticDistribution:
-    fp = dict(cfg.family_params)
-    if cfg.family == "smooth":
-        return make_smooth_1d_family(**fp)
-    if cfg.family == "constant":
-        return make_constant_family(**fp)
-    if cfg.family == "two_point":
-        return make_two_point_family(**fp)
-    if cfg.family == "hard":
-        seed = fp.pop("seed", 0)
-        return build_hard_family(HardFamilyParams(**fp), seed=seed)
-    raise ValueError(f"unknown family {cfg.family!r}")
+    return _FAMILIES[cfg.family](**cfg.family_params)
 
 
 class _Oracle:
@@ -381,7 +388,7 @@ def run_dkw_check(N_values, t_values, reps: int, seed: int = 0) -> list:
     against the bound 2 exp(-2 N t^2), per (N, t) cell."""
     N_values = [_integer(n, "N_values", 1) for n in N_values]
     reps, seed = _integer(reps, "reps", 100), _integer(seed, "seed", 0)
-    t_values = [float(t) for t in t_values]
+    t_values = [_real(t, "t_values") for t in t_values]
     if not N_values:
         raise ValueError("N_values must name at least one sample size")
     if not t_values or not all(math.isfinite(t) and t > 0 for t in t_values):
@@ -439,10 +446,11 @@ def emit_report(result, fmt: str, out_dir: str) -> list:
     rows = result.rows if rate else list(result)
     base = os.path.join(out_dir, f"{result.kind}_rate" if rate else "dkw")
     if fmt == "json":
+        # serialized first, so that a value json cannot take leaves no file
+        text = json.dumps(strict_json(asdict(result) if rate else rows),
+                          indent=2, sort_keys=True, allow_nan=False)
         with open(f"{base}.json", "w") as fh:
-            json.dump(strict_json(asdict(result) if rate else rows), fh,
-                      indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+            fh.write(text + "\n")
         return [f"{base}.json"]
     if fmt == "svg-plot":
         with open(f"{base}.svg", "w") as fh:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .core import Carry, solve_threshold
 from .discrete import FBetaParams, frozen_array
 from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
-                         LocalPolyEstimate, fit_from_config)
+                         LocalPolyEstimate, _real, fit_from_config)
 from .table import read_table, write_table
 from .threshold import ScoreSample, empirical_threshold
 
@@ -76,9 +75,7 @@ class PluginClassifier:
 
     def __post_init__(self):
         # a model file may carry any JSON value here
-        theta = self.theta_hat
-        if isinstance(theta, (bool, np.bool_)) or not isinstance(theta, numbers.Real):
-            raise ValueError(f"theta_hat must be a real number, got {theta!r}")
+        _real(self.theta_hat, "theta_hat")
         cap = self.params.score_cap
         if not (0.0 <= self.theta_hat <= cap + 1e-12):
             raise ValueError(f"theta_hat {self.theta_hat!r} outside [0, {cap!r}]")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import solve_threshold
 from .discrete import DiscreteDistribution
-from .estimators import LabeledDataset, SmoothnessSpec, _integer
+from .estimators import LabeledDataset, SmoothnessSpec, _integer, _positive, _real
 from .plugin import UnlabeledDataset
 
 
@@ -30,8 +30,10 @@ class MarginSpec:
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > 0):
+        alpha = _real(self.alpha, "alpha")
+        if not alpha > 0:
             raise ValueError("alpha must be positive (use math.inf for separation)")
+        object.__setattr__(self, "alpha", alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +215,14 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
     E(eta - c)_+ have closed forms and c is the root of c E eta - E(eta - c)_+,
     found by bisection to adjacent floats.  The margin probabilities are
     exact as well."""
-    if not (0.0 < beta <= 1.0):
+    try:
+        beta, alpha_target, slope, x0 = (_positive(value, name) for value, name in (
+            (beta, "beta"), (alpha_target, "alpha_target"), (slope, "slope"), (x0, "x0")))
+    except ValueError as exc:
+        raise ConstructionError(*exc.args) from None
+    if not beta <= 1.0:
         raise ConstructionError(f"beta must lie in (0, 1], got {beta!r}")
-    if not (alpha_target > 0):
-        raise ConstructionError(f"alpha_target must be positive, got {alpha_target!r}")
-    if not (0.0 < slope < math.inf):
-        raise ConstructionError(f"slope must be positive and finite, got {slope!r}")
-    if not (0.0 < x0 < 1.0):
+    if not x0 < 1.0:
         raise ConstructionError(f"x0 must lie in (0, 1), got {x0!r}")
     exponent = 1.0 / alpha_target
     equation = _level_equation(slope, x0, alpha_target)
@@ -256,7 +259,11 @@ def make_smooth_1d_family(beta: float = 1.0, alpha_target: float = 1.0,
 
 def make_constant_family(eta_value: float = 0.5) -> AnalyticDistribution:
     """X ~ U[0,1], eta identically constant: no margin crossing (alpha = inf)."""
-    if not (0.0 < eta_value <= 1.0):
+    try:
+        eta_value = _positive(eta_value, "eta_value")
+    except ValueError as exc:
+        raise ConstructionError(*exc.args) from None
+    if not eta_value <= 1.0:
         raise ConstructionError("eta_value must lie in (0, 1]")
     theta_star = float(solve_threshold(np.array([eta_value]), np.array([1.0]), 1.0))
     return _unit_interval_family(
@@ -268,6 +275,7 @@ def make_constant_family(eta_value: float = 0.5) -> AnalyticDistribution:
 
 def make_two_point_family(eta_low: float = 0.1, eta_high: float = 0.9) -> AnalyticDistribution:
     """Two feature atoms at x=0 and x=1 with masses 1/2; separated margin."""
+    eta_low, eta_high = _real(eta_low, "eta_low"), _real(eta_high, "eta_high")
     atoms = DiscreteDistribution(support=np.array([[0.0], [1.0]]),
                                  mass=np.array([0.5, 0.5]),
                                  eta=np.array([eta_high, eta_low]))
@@ -296,25 +304,21 @@ class HardFamilyParams:
     q: int
     m: int
     w: float
-    sigma: tuple | None = None  # +-1 per active cell; random when omitted
-    L: float = 1.0
 
     def __post_init__(self):
         for name in ("d", "q", "m"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
-        if not (0.0 < self.beta <= 1.0):
+        for name in ("beta", "w"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
+        if not self.beta <= 1.0:
             # past 1, a bound on pairwise ratios no longer checks Holder-beta
             raise ValueError("the hard family supports beta in (0, 1]")
-        if not (self.L > 0):
-            raise ValueError("L must be positive")
         if self.m >= self.q ** self.d:
             raise ValueError("need m < q^d so the bulk ball has positive volume")
-        if not (0.0 < self.w <= 1.0 / self.m):
+        if not self.w <= 1.0 / self.m:
             raise ValueError("need 0 < w <= 1/m")
         if not (self.m * self.w < 0.5):
             raise ValueError("need m*w < 1/2 (tau formula and mass budget)")
-        if self.sigma is not None and len(self.sigma) != self.m:
-            raise ValueError("sigma must have length m")
 
 
 def _ball_volume(d: int, r: float) -> float:
@@ -335,15 +339,17 @@ def _holder_seminorm(profile: Callable, beta: float) -> float:
 def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistribution:
     """Grid-of-bumps construction with the optimal threshold pinned at 1/4.
 
-    eta takes 1/4 +- sigma_j * phi on the mirrored active cells, 1/4 on the
-    rest of the central ball, tau far outside, and a smooth radial bridge on
-    the annulus.  The marginal density places mass w on a small ball inside
-    each active cell (and its mirror) and the rest on a far-away bulk ball.
+    eta is Holder-beta with constant 1.  It takes 1/4 +- sigma_j * phi on the
+    mirrored active cells, with the signs sigma drawn from ``seed`` (an int
+    or a Generator), 1/4 on the rest of the central ball, tau far outside,
+    and a smooth radial bridge on the annulus.  The marginal density places
+    mass w on a small ball inside each active cell (and its mirror) and the
+    rest on a far-away bulk ball.
     """
     q, m, w, d, beta = p.q, p.m, p.w, p.d, p.beta
     # The bump C_phi q^-beta u(q r) has seminorm C_phi |u|_beta whatever q is,
     # so one C_phi serves every grid; the cap keeps b' <= 1/8.
-    c_phi = min(p.L / _holder_seminorm(bump_u, beta), 1.0 / 8.0)
+    c_phi = min(1.0 / _holder_seminorm(bump_u, beta), 1.0 / 8.0)
     phi_max = c_phi * q ** (-beta)
     # b' is the average bump height over a mass ball.  The balls have radius
     # 1/(4q) and u(q r) = 1 for q r <= 1/4, so eta sits at its peak on them.
@@ -351,20 +357,14 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
     mw = m * w
     tau = 1.0 / 3.0 + (1.0 / 12.0 - 2.0 * b_prime / 3.0) * (2.0 * mw / (1.0 - 2.0 * mw))
     if not (0.25 < tau <= 1.0):
-        raise ConstructionError(f"tau = {tau:.6g} outside (1/4, 1]; the mass "
-                                "budget m*w <= 1/2 is required")
+        raise ConstructionError(f"tau = {tau:.6g} outside (1/4, 1]; m*w <= 4/9 keeps "
+                                f"it inside for every b' <= 1/8, got m*w = {mw:.6g}")
     # The bridge (tau - 1/4) v((r - sqrt d) / rho) has seminorm
     # (tau - 1/4) |v|_beta rho^-beta: take the smallest power of two rho >= 1
-    # that brings it to L.
-    spread = (tau - 0.25) * _holder_seminorm(bump_v, beta) / p.L
+    # that brings it to 1.
+    spread = (tau - 0.25) * _holder_seminorm(bump_v, beta)
     rho = 2.0 ** max(0, math.ceil(math.log2(spread) / beta - 1e-9))
-    rng = np.random.default_rng(seed)
-    if p.sigma is not None:
-        sigma = np.asarray(p.sigma, dtype=float)
-        if not np.all(np.isin(sigma, (-1.0, 1.0))):
-            raise ConstructionError("sigma entries must be +-1")
-    else:
-        sigma = rng.choice([-1.0, 1.0], size=m)
+    sigma = np.random.default_rng(seed).choice([-1.0, 1.0], size=m)
 
     sqrt_d = math.sqrt(d)
     ball_r = 1.0 / (4.0 * q)
@@ -478,7 +478,11 @@ def hard_family_rate_params(n: int, beta: float, d: int,
     truncated and clamped so the parameter invariants hold at small n.
 
     Valid only when alpha * beta <= d."""
-    n = _integer(n, "n", 1)
+    try:
+        n, d = _integer(n, "n", 1), _integer(d, "d", 1)
+        beta, alpha = _positive(beta, "beta"), _positive(alpha, "alpha")
+    except ValueError as exc:
+        raise ConstructionError(*exc.args) from None
     if alpha * beta > d:
         raise ConstructionError("rate-scaled parameters require alpha*beta <= d")
     q = max(2, int(n ** (1.0 / (2.0 * beta + d))))

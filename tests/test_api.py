@@ -81,6 +81,18 @@ build_hard_family(HardFamilyParams(d=3, beta=1.0, q=3, m=5, w=0.03))
     assert _modules_after(code, tmp_path) == []
 
 
+def test_cdf_gap_bound_loads_no_scipy(tmp_path):
+    # the bound sums exact segments between its breakpoints; it has no
+    # quadrature mode that would load scipy.integrate
+    code = """
+import numpy as np
+from fscore import ScoreSample, cdf_gap_bound
+cdf_gap_bound(lambda t: float(t >= 0.5), ScoreSample(values=np.array([0.2, 0.7])),
+              0.5, breakpoints=[0.5])
+"""
+    assert _modules_after(code, tmp_path) == []
+
+
 def test_knn_loads_scipy_spatial(tmp_path):
     code = """
 import numpy as np

@@ -44,6 +44,20 @@ def test_from_csv_rejects_nan(tmp_path):
         fs.DiscreteDistribution.from_csv(path)
 
 
+def test_negative_mass_rejected():
+    # the masses sum to 1, so only the sign check stops them
+    with pytest.raises(ValueError, match="masses must be nonnegative"):
+        fs.DiscreteDistribution(support=np.array([[0.0], [1.0]]),
+                                mass=np.array([1.5, -0.5]), eta=np.array([0.5, 0.5]))
+
+
+def test_from_csv_needs_trailing_mass_and_eta(tmp_path):
+    path = tmp_path / "dist.csv"
+    path.write_text("x_1,eta,mass\r\n0.0,0.2,1.0\r\n")
+    with pytest.raises(ValueError, match="expected trailing columns 'mass' and 'eta'"):
+        fs.DiscreteDistribution.from_csv(path)
+
+
 def test_p_y1():
     d = fs.DiscreteDistribution(support=np.array([[0.0], [1.0]]),
                                 mass=np.array([0.25, 0.75]),
@@ -62,13 +76,17 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.eta, d.eta)
 
 
-def test_as_bits_accepts_callable_and_vector():
+def test_as_bits_accepts_vector_rejects_callable():
     d = fs.DiscreteDistribution(support=np.array([[0.0], [1.0]]),
                                 mass=np.array([0.5, 0.5]),
                                 eta=np.array([0.9, 0.1]))
     np.testing.assert_array_equal(fs.as_bits(d, np.array([1, 0])), [1, 0])
-    np.testing.assert_array_equal(fs.as_bits(d, lambda x: int(x[0] < 0.5)),
-                                  [1, 0])
+    # a classifier is a bit vector; a predicate is no longer evaluated, on
+    # a one-point support too, where its length would match
+    one = fs.DiscreteDistribution(support=[[0.0]], mass=[1.0], eta=[0.5])
+    for dist in (d, one):
+        with pytest.raises(ValueError, match="classifier"):
+            fs.as_bits(dist, lambda x: int(x[0] < 0.5))
 
 
 def test_as_bits_rejects_non_binary():

@@ -6,6 +6,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+import dataclasses
 from dataclasses import asdict
 
 import numpy as np
@@ -82,6 +83,46 @@ def test_n_rules():
     assert cfg.unlabeled_size(100) == 10_000
     cfg = ExperimentConfig(n_grid=(100, 200), n_rule=500)
     assert cfg.unlabeled_size(100) == 500
+
+
+def test_numpy_fixed_n_writes_a_json_report(tmp_path):
+    # an np.int64 N was kept and broke json.dump halfway through the file
+    cfg = ExperimentConfig(family="constant", n_grid=(100, 200), n_rule=np.int64(64),
+                           reps=2, oracle_atoms=100)
+    assert type(cfg.n_rule) is int and cfg.unlabeled_size(100) == 64
+    excess = run_experiment(cfg)[0]
+    (path,) = emit_report(excess, "json", str(tmp_path / "ok"))
+    assert json.loads(open(path).read())["config"]["n_rule"] == 64
+    # a value json cannot take fails before the file is opened
+    bad = dataclasses.replace(excess, config={**excess.config, "n_rule": np.int64(64)})
+    with pytest.raises(TypeError, match="int64"):
+        emit_report(bad, "json", str(tmp_path / "bad"))
+    assert os.listdir(tmp_path / "bad") == []
+
+
+@pytest.mark.parametrize("build, error, name", [
+    (lambda: fs.make_smooth_1d_family(alpha_target=True), fs.ConstructionError,
+     "alpha_target"),
+    (lambda: fs.make_smooth_1d_family(alpha_target="1"), fs.ConstructionError,
+     "alpha_target"),
+    (lambda: fs.make_smooth_1d_family(slope=True), fs.ConstructionError, "slope"),
+    (lambda: fs.make_constant_family(eta_value=True), fs.ConstructionError, "eta_value"),
+    (lambda: fs.make_two_point_family(eta_high=True), ValueError, "eta_high"),
+    (lambda: fs.HardFamilyParams(d=1, beta=True, q=8, m=3, w=0.02), ValueError, "beta"),
+    (lambda: fs.MarginSpec(alpha=True), ValueError, "alpha"),
+    (lambda: fs.MarginSpec(alpha="x"), ValueError, "alpha"),
+    (lambda: fs.hard_family_rate_params(1000, 1.0, 2, -1.0), fs.ConstructionError,
+     "alpha"),
+    (lambda: run_dkw_check([100], [True], 100), ValueError, "t_values"),
+    (lambda: run_dkw_check([100], ["0.1"], 100), ValueError, "t_values"),
+    (lambda: ExperimentConfig(family="nope"), ValueError, "family"),
+    (lambda: ExperimentConfig(family_params=[1]), ValueError, "family_params"),
+])
+def test_inputs_checked_where_they_enter(build, error, name):
+    # each was accepted, or failed later with a bare TypeError
+    with pytest.raises(error, match=f"^{name} must") as caught:
+        build()
+    assert caught.type is error
 
 
 def test_rate_experiment_shape_and_determinism():
@@ -179,7 +220,8 @@ def test_dkw_rejects_nonpositive_or_nonfinite_t():
     for t in (math.nan, math.inf, -0.5, 0.0):
         with pytest.raises(ValueError, match="t_values"):
             run_dkw_check([100], [0.1, t], reps=100)
-    assert run_dkw_check([100], ["0.1"], reps=100) == run_dkw_check([100], [0.1], reps=100)
+    with pytest.raises(ValueError, match="t_values"):
+        run_dkw_check([100], ["0.1"], reps=100)
 
 
 def test_dkw_rejects_empty_lists():

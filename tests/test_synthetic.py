@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -201,7 +202,7 @@ RATE_NS = (250, 500, 1000, 2000, 4000, 8000, 16000, 32000)
 
 @pytest.mark.parametrize("d, alpha", [(1, 0.5), (1, 1.0), (2, 1.0)])
 def test_rate_params_pinned_at_beta_one(d, alpha):
-    # C_phi = min(L / |u|_1, 1/8) = 1/8 whatever q is; the mass balls of
+    # C_phi = min(1 / |u|_1, 1/8) = 1/8 whatever q is; the mass balls of
     # radius 1/(4q) sit on the bump's plateau, so b' = phi_max; and the
     # bridge from 1/4 to tau needs no widening
     for n in RATE_NS:
@@ -211,11 +212,11 @@ def test_rate_params_pinned_at_beta_one(d, alpha):
         assert ex["phi_max"] == pytest.approx(0.125 / p.q, rel=1e-15)
         assert ex["b_prime"] == ex["phi_max"]
         assert ex["rho"] == 1.0
-        # pairwise Holder check of the radial bump profile at L
+        # pairwise Holder check of the radial bump profile at constant 1
         r = np.linspace(0.0, 1.0 / p.q, 160)
         f = ex["phi_max"] * bump_u(p.q * r)
         i, j = np.triu_indices(r.size, k=1)
-        assert np.all(np.abs(f[i] - f[j]) <= p.L * (r[j] - r[i]) ** p.beta * (1 + 1e-9))
+        assert np.all(np.abs(f[i] - f[j]) <= (r[j] - r[i]) ** p.beta * (1 + 1e-9))
     with pytest.raises(ValueError, match="beta"):
         fs.hard_family_rate_params(1000, beta=1.5, d=1, alpha=0.5)
 
@@ -280,11 +281,38 @@ def test_hard_family_sampler_mass_split():
     assert near.mean() == pytest.approx(2 * p.m * p.w, abs=0.01)
 
 
+def test_hard_family_sigma_drawn_from_seed():
+    # the Holder constant is 1 and sigma comes from the seed alone; a
+    # Generator seed is used as it is
+    assert [f.name for f in dataclasses.fields(fs.HardFamilyParams)] == [
+        "d", "beta", "q", "m", "w"]
+    p = hard_params()
+    for seed in (0, 5):
+        want = np.random.default_rng(seed).choice([-1.0, 1.0], size=p.m)
+        np.testing.assert_array_equal(fs.build_hard_family(p, seed=seed).extras["sigma"],
+                                      want)
+        fam = fs.build_hard_family(p, seed=np.random.default_rng(seed))
+        np.testing.assert_array_equal(fam.extras["sigma"], want)
+
+
 def test_hard_family_invalid_params():
     with pytest.raises(ValueError):
         fs.HardFamilyParams(d=1, beta=1.0, q=8, m=0, w=0.02)
     with pytest.raises(ValueError):
         fs.HardFamilyParams(d=1, beta=1.0, q=2, m=1, w=0.6)  # m w >= 1/2
+    with pytest.raises(ValueError, match=r"need m < q\^d"):
+        fs.HardFamilyParams(d=2, beta=1.0, q=2, m=4, w=0.01)
+    with pytest.raises(ValueError, match="need 0 < w <= 1/m"):
+        fs.HardFamilyParams(d=1, beta=1.0, q=8, m=3, w=0.34)
+
+
+def test_hard_family_tau_bound_names_its_condition():
+    # m w = 0.48 is below 1/2, but tau <= 1 needs m w <= 4/9
+    p = fs.HardFamilyParams(d=1, beta=1.0, q=64, m=3, w=0.16)
+    with pytest.raises(fs.ConstructionError,
+                       match=r"tau = 2\.30208 outside \(1/4, 1\]; .*m\*w <= 4/9.*0\.48"):
+        fs.build_hard_family(p)
+    fs.build_hard_family(fs.HardFamilyParams(d=1, beta=1.0, q=64, m=3, w=4 / 27))
 
 
 def test_hard_family_integer_params():

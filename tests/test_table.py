@@ -9,7 +9,7 @@ import pytest
 import fscore as fs
 from fscore.harness import RateFitResult, emit_report
 from fscore.plugin import predictions_to_csv
-from fscore.table import write_table
+from fscore.table import read_table, write_table
 
 
 def test_labeled_csv_bytes(tmp_path):
@@ -39,6 +39,27 @@ def test_header_only_unlabeled_csv(tmp_path):
         warnings.simplefilter("error")
         back = fs.UnlabeledDataset.from_csv(path)
     assert back.points.shape == (0, 2)
+
+
+def test_read_table_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty file, expected a header line"):
+        read_table(path)
+
+
+def test_read_table_rejects_rows_wider_than_the_header(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("x_1,y\r\n0.1,1,5\r\n0.2,0,6\r\n")
+    with pytest.raises(ValueError, match="3 columns under a header of 2"):
+        read_table(path)
+
+
+def test_labeled_csv_needs_a_trailing_label_column(tmp_path):
+    path = tmp_path / "labeled.csv"
+    path.write_text("y,x_1\r\n1,0.1\r\n")
+    with pytest.raises(ValueError, match="expected trailing column 'y'"):
+        fs.LabeledDataset.from_csv(path)
 
 
 def test_predictions_csv_bytes(tmp_path):
