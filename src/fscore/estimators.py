@@ -232,13 +232,32 @@ class KNNEstimate:
         return self.evaluate(x) > theta
 
 
-def _placed(values: np.ndarray, edges: np.ndarray, side: str) -> tuple[int, np.ndarray]:
-    """Over ascending ``values`` and ``edges``: the number of values before the
-    first edge (v < e, or v <= e for side "right"), and for each later value
-    up to the last edge, the first edge it is before."""
-    first, last = np.searchsorted(values, edges[[0, -1]], side)
-    return first, np.searchsorted(edges, values[first:last],
-                                  "right" if side == "left" else "left")
+def _placed(values: np.ndarray, t: np.ndarray, d: float,
+            side: str) -> tuple[int, np.ndarray]:
+    """Over ascending ``values`` and ``t``, with edges fl(t + d): the number
+    of values before the first edge (v < e, or v <= e for side "right"), and
+    for each later value up to the last edge, the first edge it is before.
+    The edges are formed _PREFIX_CHUNK queries at a time, each block placing
+    the values up to its last edge."""
+    first = lo = np.searchsorted(values, t[0] + d, side)
+    opposite = "right" if side == "left" else "left"
+    found = []
+    for start in range(0, t.size, _PREFIX_CHUNK):
+        edges = t[start:start + _PREFIX_CHUNK] + d
+        hi = np.searchsorted(values, edges[-1], side)
+        found.append(start + np.searchsorted(edges, values[lo:hi], opposite))
+        lo = hi
+    return first, np.concatenate(found)
+
+
+def _distinct(parts) -> np.ndarray:
+    """The distinct values of the ascending integer arrays ``parts``, in
+    ascending order, by a merging sort: on the run starts of 2^18 sorted
+    queries at n = 2000 it measured 25x faster than the hashing of
+    np.unique, and 3x on those of 16 384."""
+    values = np.concatenate(parts)
+    values.sort(kind="stable")
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _expand(sums: list, s: np.ndarray, k: int) -> np.ndarray:
@@ -302,11 +321,12 @@ class LocalPolyEstimate:
         step, floor = (_CHUNK, 0.0) if self._prefix is None \
             else (_PREFIX_CHUNK, _PREFIX_FLOOR)
         out = np.empty(queries.shape[0])
-        for start in range(0, queries.shape[0], step):
+        starts = range(0, queries.shape[0], step)
+        blocks = (self._pair_moments(queries[start:start + step]) for start in starts) \
+            if self._prefix is None else self._prefix.block_moments(queries[:, 0], step)
+        for start, moments in zip(starts, blocks):
             block = queries[start:start + step]
             vals = out[start:start + block.shape[0]]
-            moments = self._pair_moments(block) if self._prefix is None \
-                else self._prefix.moments(block[:, 0])
             ok = moments[0] > floor
             # unmasked, which is faster; the ~ok entries are replaced below
             with np.errstate(all="ignore"):
@@ -434,31 +454,41 @@ class _AnchoredPrefix:
         for s, e in zip(start, start + size):
             np.cumsum(cums[:, s:e], axis=1, out=cums[:, s:e])
 
-    def _runs(self, t: np.ndarray):
-        """Over ascending ``t``: ranges [lo, hi) into ``cums`` of the points
-        with |t - x_i| < h, in the query's anchor's sums; one per run and the
-        run lengths where runs are long, else one per query and None."""
+    def _regime(self, t: np.ndarray) -> str:
+        """How ``_runs`` places ascending ``t``, from the window and cell
+        edges that lie between its first and last query: "search", a binary
+        search per query, where more edges than queries lie there; "runs",
+        one range per run of queries between two edges, where the runs are
+        long; else "steps", a running count per query."""
         ends = t[[0, -1]]
         passed = sum(int(np.diff(np.searchsorted(values, edges, side))[0])
                      for values, edges, side in ((self.x, ends - self.h, "right"),
                                                  (self.x, ends + self.h, "left"),
                                                  (self.cells, ends, "right")))
         if passed > t.size:
-            # more window and cell edges passed than queries, as for the
-            # spread-out middle queries of ``certify``: a binary search per
-            # query measured 3.5x faster there at n = 64 000, placing the
-            # points among the queries 1.4x faster for dense queries
+            # as for the spread-out middle queries of ``certify``: a binary
+            # search per query measured 3.5x faster there at n = 64 000,
+            # placing the points among the queries 1.4x faster for dense queries
+            return "search"
+        # per-run sums measured faster above about 11 queries per run (on the
+        # N = n rate curve, 1.6x at n = 250, and per-query 2.2x at n = 64 000)
+        return "runs" if 8 * (passed + 1) < t.size else "steps"
+
+    def _runs(self, t: np.ndarray):
+        """Over ascending ``t``: ranges [lo, hi) into ``cums`` of the points
+        with |t - x_i| < h, in the query's anchor's sums; one per run and the
+        run lengths in the regime "runs", else one per query and None."""
+        regime = self._regime(t)
+        if regime == "search":
             shift = self.shift[np.searchsorted(self.cells, t, "right")]
             return (np.searchsorted(self.x, t - self.h, "right") + shift,
                     np.searchsorted(self.x, t + self.h, "left") + shift, None)
-        lo0, enter = _placed(self.x, t - self.h, "right")
-        hi0, leave = _placed(self.x, t + self.h, "left")
-        k0, switch = _placed(self.cells, t, "right")
+        lo0, enter = _placed(self.x, t, -self.h, "right")
+        hi0, leave = _placed(self.x, t, self.h, "left")
+        k0, switch = _placed(self.cells, t, 0.0, "right")
         m = t.size
-        # per-run sums measured faster above about 11 queries per run (on the
-        # N = n rate curve, 1.6x at n = 250, and per-query 2.2x at n = 64 000)
-        if 8 * (enter.size + leave.size + switch.size + 1) < m:
-            starts = np.unique(np.concatenate(([0], enter, leave, switch)))
+        if regime == "runs":
+            starts = _distinct(([0], enter, leave, switch))
             shift = self.shift[k0 + np.searchsorted(switch, starts, "right")]
             return (lo0 + np.searchsorted(enter, starts, "right") + shift,
                     hi0 + np.searchsorted(leave, starts, "right") + shift,
@@ -559,14 +589,40 @@ class _AnchoredPrefix:
     def moments(self, t: np.ndarray) -> np.ndarray:
         """Per query, in rows: sum w z^j, j <= 2p, sum w z^j y, j <= p, and
         from degree 1 on, the number of distinct points in the window."""
-        p = self.degree
-        out = np.empty((len(self.cums) - 3, t.size))
         if not np.all(t[1:] >= t[:-1]):
             # equal queries get equal arithmetic, so each keeps its bits
             order = np.argsort(t)
+            out = np.empty((len(self.cums) - 3, t.size))
             out[:, order] = self.moments(t[order])
             return out
+        return self._moments(t, *self._runs(t))
+
+    def block_moments(self, t: np.ndarray, size: int):
+        """``moments`` of each block t[i:i + size], i = 0, size, .., in turn
+        and with the same bits.  An ascending ``t`` longer than one block
+        that ``_runs`` places in its regime "runs" is placed once, and its
+        runs are cut at the block edges: a query's sums are the same whatever
+        run gives them, and the temporaries stay those of one block."""
+        m = t.size
+        blocks = np.arange(0, m, size)
+        if m <= size or not np.all(t[1:] >= t[:-1]) or self._regime(t) != "runs":
+            for start in blocks:
+                yield self.moments(t[start:start + size])
+            return
         lo, hi, lengths = self._runs(t)
+        starts = np.cumsum(lengths) - lengths
+        cut = _distinct((starts, blocks))  # pieces of runs, each within a block
+        run = np.searchsorted(starts, cut, "right") - 1
+        lo, hi, lengths = lo[run], hi[run], np.diff(cut, append=m)
+        first = np.searchsorted(cut, blocks)
+        for start, a, b in zip(blocks, first, [*first[1:], cut.size]):
+            yield self._moments(t[start:start + size], lo[a:b], hi[a:b], lengths[a:b])
+
+    def _moments(self, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 lengths: np.ndarray | None) -> np.ndarray:
+        """``moments`` of ascending ``t`` from its ranges of ``_runs``."""
+        p = self.degree
+        out = np.empty((len(self.cums) - 3, t.size))
         sums = np.take(self.cums, hi, axis=1)
         sums -= np.take(self.cums, lo, axis=1)
         count = (hi - lo).astype(float)

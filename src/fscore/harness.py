@@ -10,9 +10,11 @@ Seeding: every (n-index, replication) cell owns the stream
 ``default_rng(seed + 1_000_003 * n_index + rep)``, and aggregation happens in
 fixed index order.
 
-Workers: ``run_experiment`` deals the cells, largest n first, round-robin
-over one worker per CPU this process may use.  The calling process runs the
-first share and a child made by ``os.fork`` each other share; the results
+Workers: ``run_experiment`` deals the cells over one worker per CPU this
+process may use, costliest first, each to the worker with the least cost so
+far, a cell costing its n + N points; cells of one cost are dealt
+round-robin.  The calling process runs the first share, which holds the
+costliest cell, and a child made by ``os.fork`` each other share; the results
 come back through pipes and are aggregated in index order, so the curves do
 not depend on the number of workers.  Up to that many replicates are held
 in memory at once, one per worker.  With one usable CPU, one cell, or no
@@ -24,6 +26,7 @@ compete with BLAS threads for the CPUs.  Python 3.12 and later warn on
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -36,7 +39,7 @@ import numpy as np
 
 from .core import lemma1_excess, solve_threshold
 from .discrete import FBetaParams
-from .estimators import _ESTIMATORS, _integer, _real
+from .estimators import _ESTIMATORS, _integer, _positive, _real
 from .plugin import TrainingDegenerate, train_plugin
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
@@ -46,8 +49,9 @@ from .table import write_table
 _CELL_SEED_STRIDE = 1_000_003
 
 
-def _hard_family(seed=0, **params) -> AnalyticDistribution:
-    return build_hard_family(HardFamilyParams(**params), seed=seed)
+def _hard_family(d, beta, q, m, w, seed=0) -> AnalyticDistribution:
+    return build_hard_family(HardFamilyParams(d=d, beta=beta, q=q, m=m, w=w),
+                             seed=seed)
 
 
 # the builder of each family name; ``family_params`` are its arguments
@@ -71,8 +75,20 @@ class ExperimentConfig:
         if not (isinstance(self.family, str) and self.family in _FAMILIES):
             raise ValueError(f"family must be one of {', '.join(_FAMILIES)}, "
                              f"got {self.family!r}")
-        if not isinstance(self.family_params, dict):
-            raise ValueError(f"family_params must be a dict, got {self.family_params!r}")
+        params = self.family_params
+        if not isinstance(params, dict):
+            raise ValueError(f"family_params must be a dict, got {params!r}")
+        builder = inspect.signature(_FAMILIES[self.family])
+        try:
+            builder.bind(**params)
+        except TypeError:  # an unknown or missing key, or one not a string
+            raise ValueError(f"family_params must be arguments of the {self.family} "
+                             f"family ({', '.join(builder.parameters)}), "
+                             f"got {params!r}") from None
+        if "seed" in params:
+            # held as a Python int, which is what seeds the sign draw
+            object.__setattr__(self, "family_params", {
+                **params, "seed": _integer(params["seed"], "family_params seed", 0)})
         grid = tuple(_integer(n, "n_grid sizes") for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
             raise ValueError("n_grid must be nonempty and strictly increasing")
@@ -97,6 +113,18 @@ class ExperimentConfig:
         if "beta" in est:
             raise ValueError("estimator must not set beta, which each replicate "
                              f"takes from the family, got {est!r}")
+        keys = [k for k in inspect.signature(_ESTIMATORS[method]).parameters
+                if k != "data"]
+        if not set(est) <= {"method", *keys}:
+            raise ValueError(f"estimator keys must be method or {' or '.join(keys)} "
+                             f"for method {method}, got {est!r}")
+        # checked as the estimator checks them, whose bound on k needs n
+        if "h" in est:
+            _positive(est["h"], "estimator h")
+        if "k" in est:
+            _integer(est["k"], "estimator k", 1)
+        if "degree" in est:
+            _integer(est["degree"], "estimator degree", 0)
 
     def unlabeled_size(self, n: int) -> int:
         if self.n_rule == "n":
@@ -233,8 +261,8 @@ def _usable_cpus() -> int:
 def _run_cells(family, oracle, cfg, cells: list) -> list:
     """``_replicate`` of every (n, seed) cell, in the order of ``cells``.
 
-    The cells are dealt, largest n first, round-robin over W workers, one
-    per usable CPU and at most one per cell, or one without ``os.fork``.
+    The cells are dealt by their cost n + N (``_deal``) over W workers,
+    one per usable CPU and at most one per cell, or one without ``os.fork``.
     This process runs the first share and a forked child each other share
     (``_fork_share``).  On any error, that of this process's share first
     and then those of the children in worker order, the children are
@@ -255,8 +283,7 @@ def _run_cells(family, oracle, cfg, cells: list) -> list:
                                   _module_of(w.filename)) for w in caught]))
         return out
 
-    order = sorted(range(len(cells)), key=lambda i: -cells[i][0])
-    shares = [order[w::workers] for w in range(workers)]
+    shares = _deal([n + cfg.unlabeled_size(n) for n, _ in cells], workers)
     results = [None] * len(cells)  # (result, warning records) per cell
     pids, reads = [], []  # until reaped, and until closed
     try:
@@ -300,6 +327,20 @@ def _run_cells(family, oracle, cfg, cells: list) -> list:
             warnings.warn_explicit(message, category, filename, lineno,
                                    module=module, registry=registry)
     return [result for result, _ in results]
+
+
+def _deal(costs: list, workers: int) -> list:
+    """Indices of the cells in ``workers`` shares: the costliest first, ties
+    in index order, each to the share of least cost so far, the first of
+    equal shares (Graham's LPT rule, within 4/3 of the least makespan).
+    Cells of one cost are dealt round-robin."""
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += costs[i]
+    return shares
 
 
 def _module_of(filename: str) -> str | None:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import Carry, solve_threshold
 from .discrete import FBetaParams, frozen_array
+from .estimators import _positive
 
 
 class DegenerateScoreSample(UserWarning):
@@ -80,8 +81,7 @@ def cdf_gap_bound(true_eta_cdf, sample: ScoreSample, p_y1: float,
     sorted scores, 0, 1 and the breakpoints, and the integral is exact: the
     midpoint value times the width, summed.
     """
-    if p_y1 <= 0:
-        raise ValueError("p_y1 must be positive")
+    _positive(p_y1, "p_y1")
     emp = empirical_cdf(sample.values)
     knots = np.unique(np.concatenate([np.asarray(breakpoints, dtype=float).ravel(),
                                       sample.values, [0.0, 1.0]]))

@@ -177,6 +177,17 @@ def test_train_requires_unlabeled(tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+def test_rate_rejects_a_key_the_estimator_does_not_take(tmp_path, capsys):
+    # the kernel takes no k: it failed inside a replicate worker
+    code, stdout, stderr = run_cli(capsys, "rate", "--estimator",
+                                   '{"method": "kernel", "k": 5}',
+                                   "--out", str(tmp_path / "rep"))
+    record = json.loads(stderr)
+    assert code == 2 and stdout == "" and record["error"] == "ValueError"
+    assert record["message"].startswith("estimator keys must")
+    assert not (tmp_path / "rep").exists()
+
+
 def test_rate_rejects_estimator_beta(tmp_path, capsys):
     # each replicate fits with the family's beta, so an estimator beta ran
     # without effect while the report recorded it

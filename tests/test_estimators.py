@@ -456,10 +456,34 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.labels, data.labels)
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_sorted_batch_placed_once_keeps_every_bit(monkeypatch, degree):
+    # an ascending batch of three blocks, placed once: its runs cross the
+    # block edges, and the gap in the data leaves windows empty (1-NN)
+    rng = np.random.default_rng(degree)
+    x = np.r_[rng.random(20) * 0.4, 0.7 + rng.random(20) * 0.3]
+    data = LabeledDataset(points=x[:, None], labels=(rng.random(40) < 0.5).astype(float))
+    est = fs.LocalPolyEstimate(data, degree, 0.05)
+    size = 1000
+    t = np.sort(rng.random(2 * size + 700) * 1.2 - 0.1)
+    monkeypatch.setattr(estimators, "_PREFIX_CHUNK", size)
+    assert est._prefix._regime(t) == "runs"
+    _, _, lengths = est._prefix._runs(t)
+    assert not np.isin([size, 2 * size], np.cumsum(lengths)).all()  # a run crosses
+    assert np.any(est._prefix.moments(t)[0] == 0.0)  # empty windows
+    out = est.evaluate(t[:, None])
+    blocks = [est.evaluate(t[start:start + size, None]) for start in range(0, t.size, size)]
+    assert_same_bits(out, np.concatenate(blocks))
+    if degree == 0:
+        assert_same_bits(out, searched_epanechnikov(data, 0.05, t[:, None]))
+
+
 def test_kernel_fast_path_memory_bounded():
-    # blocks of queries bound the temporaries; the output dominates
+    # blocks of queries bound the temporaries; the output dominates.  The
+    # sorted batch is placed once (regime "runs"), without edges for all of it
     est = fs.KernelEstimate(make_data(n=2000, seed=5), h=0.08)
     queries = np.sort(np.random.default_rng(6).random(4_000_000))[:, None]
+    assert est._prefix._regime(queries[:, 0]) == "runs"
     tracemalloc.start()
     try:
         out = est.evaluate(queries)

@@ -100,6 +100,35 @@ def test_numpy_fixed_n_writes_a_json_report(tmp_path):
     assert os.listdir(tmp_path / "bad") == []
 
 
+HARD_PARAMS = {"d": 2, "beta": 1.0, "q": 4, "m": 5, "w": 0.03}
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(family="constant", family_params={"foo": 1}), "family_params"),
+    (dict(family="hard", family_params={"d": 2}), "family_params"),
+    (dict(estimator={"method": "kernel", "k": 5}), "estimator keys"),
+    (dict(estimator={"method": "knn", "k": "5"}), "estimator k"),
+    (dict(estimator={"method": "kernel", "h": 0.0}), "estimator h"),
+    (dict(estimator={"method": "kernel", "h": "0.1"}), "estimator h"),
+    (dict(estimator={"method": "local_poly", "degree": 1.5}), "estimator degree"),
+    (dict(family="hard", family_params={**HARD_PARAMS, "seed": 1.5}), "family_params seed"),
+], ids=["family_key", "hard_missing_key", "estimator_key", "k", "h", "h_string",
+        "degree", "hard_seed"])
+def test_config_fails_before_any_fork(kwargs, name):
+    # each failed in build_family with a bare TypeError, or in a replicate
+    # worker, or was accepted
+    with pytest.raises(ValueError, match=f"^{name} must") as caught:
+        ExperimentConfig(**kwargs)
+    assert caught.type is ValueError
+
+
+def test_config_holds_an_integral_hard_seed_as_an_int():
+    cfg = ExperimentConfig(family="hard", family_params={**HARD_PARAMS, "seed": 3.0})
+    assert type(cfg.family_params["seed"]) is int and cfg.family_params["seed"] == 3
+    ExperimentConfig(estimator={"method": "local_poly", "degree": 1.0, "h": 0.1})
+    ExperimentConfig(estimator={"method": "knn", "k": np.int64(5)})
+
+
 @pytest.mark.parametrize("build, error, name", [
     (lambda: fs.make_smooth_1d_family(alpha_target=True), fs.ConstructionError,
      "alpha_target"),
@@ -581,9 +610,49 @@ def test_worker_warnings_keep_their_module(monkeypatch, tmp_path):
         assert [w.filename for w in records] == [str(p) for p in paths]
 
 
+def test_cells_are_dealt_by_cost():
+    # rate_n2's cells: the N = 4M cell alone, the other two on one worker
+    cfg = ExperimentConfig(n_rule="n2", n_grid=(500, 1000, 2000), reps=1)
+    costs = [n + cfg.unlabeled_size(n) for n in cfg.n_grid]
+    assert harness._deal(costs, 2) == [[2], [1, 0]]
+    # cells of one cost go round-robin, in index order
+    assert harness._deal([5] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
+    # equal n grids of N = n: largest n first, round-robin, as before
+    costs = [2 * n for n in (100, 100, 200, 200, 400, 400)]
+    assert harness._deal(costs, 2) == [[4, 2, 0], [5, 3, 1]]
+    assert harness._deal([3, 1], 1) == [[0, 1]]
+
+
+def test_dealing_keeps_the_reports(monkeypatch, tmp_path):
+    # an uneven N = n^2 grid: one worker, or the parent alone on n = 600
+    cfg = ExperimentConfig(n_rule="n2", n_grid=(100, 200, 600), reps=1, seed=1,
+                           oracle_atoms=5000)
+    parent, here = os.getpid(), []
+    replicate = harness._replicate
+
+    def recorded(family, oracle, cfg, n, seed):
+        if os.getpid() == parent:
+            here.append(n)
+        return replicate(family, oracle, cfg, n, seed)
+
+    monkeypatch.setattr(harness, "_replicate", recorded)
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        here.clear()
+        out = tmp_path / str(cpus)
+        for result in run_experiment(cfg):
+            for fmt in ("csv", "json", "svg-plot"):
+                emit_report(result, fmt, str(out))
+        reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert_no_child_left()
+    assert here == [600]
+    assert len(reports[0]) == 8 and reports[0] == reports[1]
+
+
 def test_workers_are_one_per_usable_cpu(monkeypatch):
-    # the cells are dealt largest n first, round-robin; this process runs
-    # the first share, and a worker each other one
+    # cells of the same cost n + N are dealt largest n first, round-robin;
+    # this process runs the first share, and a worker each other one
     parent = os.getpid()
     here, forked = [], []
     replicate, fork = harness._replicate, os.fork

@@ -106,9 +106,11 @@ def test_cdf_gap_bound_zero_against_own_cdf():
 
 
 def test_cdf_gap_bound_rejects_bad_p():
+    # a NaN passed the old check p_y1 <= 0 and returned a NaN bound
     s = fs.ScoreSample(values=np.array([0.5]))
-    with pytest.raises(ValueError):
-        fs.cdf_gap_bound(lambda t: 0.0, s, p_y1=0.0, breakpoints=[0.5])
+    for p_y1 in (0.0, -0.5, float("nan"), float("inf"), "0.5", True):
+        with pytest.raises(ValueError, match="^p_y1 must"):
+            fs.cdf_gap_bound(lambda t: 0.0, s, p_y1=p_y1, breakpoints=[0.5])
 
 
 def test_gap_bound_controls_threshold_error():
