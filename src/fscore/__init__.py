@@ -16,7 +16,7 @@ from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
 from .harness import (ExperimentConfig, RateFitResult, build_family,
                       emit_report, run_dkw_check, run_experiment,
                       run_rate_experiment)
-from .oracle import (OracleSizeError, OracleSuiteFailure, brute_force_optimum,
+from .oracle import (OracleSizeError, brute_force_optimum,
                      randomized_identity_suite, scan_threshold,
                      solve_threshold_bisect)
 from .plugin import (PluginClassifier, TrainingDegenerate, UnlabeledDataset,
@@ -36,7 +36,7 @@ __all__ = [
     "AnalyticDistribution", "ConstructionError", "DegenerateScoreSample",
     "DiscreteDistribution", "ExperimentConfig", "FBetaParams",
     "HardFamilyParams", "KNNEstimate", "KernelEstimate", "LabeledDataset",
-    "LocalPolyEstimate", "MarginSpec", "OracleSizeError", "OracleSuiteFailure",
+    "LocalPolyEstimate", "MarginSpec", "OracleSizeError",
     "PluginClassifier", "RateFitResult", "ScoreSample", "SmoothnessSpec",
     "TrainingDegenerate", "UnlabeledDataset", "as_bits", "bayes_classifier",
     "bayes_threshold", "brute_force_optimum", "build_family",

@@ -169,18 +169,9 @@ def _run(args) -> int:
         return 0
     if args.command == "oracle-suite":
         report = randomized_identity_suite(args.trials, seed=args.seed,
-                                           out_dir=args.out,
-                                           raise_on_failure=False)
-        _print_json({
-            "trials": report.trials,
-            "passes_optimality": report.passes_optimality,
-            "passes_excess_identity": report.passes_excess_identity,
-            "passes_threshold_convergence": report.passes_threshold_convergence,
-            "median_error_small": report.median_error_small,
-            "median_error_large": report.median_error_large,
-            "failures": len(report.failures),
-            "ok": report.ok,
-        })
+                                           out_dir=args.out)
+        _print_json({**vars(report), "failures": len(report.failures),
+                     "ok": report.ok})
         return 0 if report.ok else 1
     if args.command == "train":
         clf = train_plugin(LabeledDataset.from_csv(args.labeled),

@@ -26,15 +26,13 @@ class Carry(NamedTuple):
     """What a band solve knows of an unweighted sample of which it holds
     only a run of consecutive sorted values: ``floor`` is the largest value
     below the run (0.0 if none is), ``above`` values lie above it and sum to
-    ``above_sum``; the sample has ``count`` values summing to ``total``,
-    ``positive`` of them above 0."""
+    ``above_sum``; the sample has ``count`` values summing to ``total``."""
 
     floor: float
     above: int
     above_sum: float
     count: int
     total: float
-    positive: int
 
 
 def threshold_equation(theta, values, weights=None, b: float = 1.0,

@@ -27,10 +27,6 @@ class OracleSizeError(ValueError):
     pass
 
 
-class OracleSuiteFailure(AssertionError):
-    pass
-
-
 def brute_force_optimum(dist: DiscreteDistribution,
                         params: FBetaParams = FBetaParams()) -> tuple[float, np.ndarray]:
     """Maximum F_b over all 2^K bit-vectors and one maximizer
@@ -131,16 +127,20 @@ class SuiteReport:
         return not self.failures
 
 
-def _serialize_failure(out_dir, index, dist, record):
+def _fail(report, out_dir, dist, record, check, **detail):
+    """Record a failed ``check`` of trial ``record["trial"]`` in the report
+    and write its law and record to ``out_dir`` for replay."""
+    record.update(failure=check, **detail)
+    report.failures.append(record)
+    stem = os.path.join(out_dir, f"trial_{record['trial']:05d}")
     os.makedirs(out_dir, exist_ok=True)
-    dist.to_csv(os.path.join(out_dir, f"trial_{index:05d}.csv"))
-    with open(os.path.join(out_dir, f"trial_{index:05d}.json"), "w") as fh:
+    dist.to_csv(stem + ".csv")
+    with open(stem + ".json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
 
 
 def randomized_identity_suite(trials: int, seed: int = 0,
-                              out_dir: str = "oracle_failures",
-                              raise_on_failure: bool = True) -> SuiteReport:
+                              out_dir: str = "oracle_failures") -> SuiteReport:
     """Randomized cross-check of the exact machinery.
 
     Per trial: (a) brute-force optimum equals the thresholded classifier's
@@ -149,8 +149,10 @@ def randomized_identity_suite(trials: int, seed: int = 0,
     classifier, (c) the empirical threshold from a
     score sample drawn from the true eta law lands near theta* (sup-CDF
     concentration makes the stated bound deterministic up to an event of
-    negligible probability).  Failing instances are serialized to
-    ``out_dir`` for replay.
+    negligible probability).  A failing trial is recorded in the report's
+    ``failures`` and its law and record are written to ``out_dir`` as
+    ``trial_NNNNN.csv`` and ``.json`` for replay; nothing is raised, and the
+    report's ``ok`` says whether every trial passed.
     """
     trials = _integer(trials, "trials", 1)
     rng = np.random.default_rng(seed)
@@ -165,25 +167,18 @@ def randomized_identity_suite(trials: int, seed: int = 0,
         best, _ = brute_force_optimum(dist, params)
         record = {"trial": i, "theta_star": theta, "bayes_score": star_score,
                   "brute_force": best}
-        if abs(best - star_score) <= 1e-12:
-            report.passes_optimality += 1
-        else:
-            record["failure"] = "optimality"
-            report.failures.append(record)
-            _serialize_failure(out_dir, i, dist, record)
+        if not abs(best - star_score) <= 1e-12:
+            _fail(report, out_dir, dist, record, "optimality")
             continue
+        report.passes_optimality += 1
         g = rng.integers(0, 2, size=dist.size)
         direct = star_score - population_fbeta(dist, g, params)
         lemma = excess_fbeta(dist, g, params)
-        if abs(direct - lemma) <= 1e-12 and direct >= -1e-12:
-            report.passes_excess_identity += 1
-        else:
-            record["failure"] = "excess_identity"
-            record["direct"] = direct
-            record["lemma1"] = lemma
-            report.failures.append(record)
-            _serialize_failure(out_dir, i, dist, record)
+        if not (abs(direct - lemma) <= 1e-12 and direct >= -1e-12):
+            _fail(report, out_dir, dist, record, "excess_identity",
+                  direct=direct, lemma1=lemma)
             continue
+        report.passes_excess_identity += 1
         # (c) threshold recovery from eta scores sampled from the true law.
         errors = {}
         for size in (1_000, 10_000):
@@ -197,15 +192,8 @@ def randomized_identity_suite(trials: int, seed: int = 0,
         if errors[10_000] <= bound:
             report.passes_threshold_convergence += 1
         else:
-            record["failure"] = "threshold_convergence"
-            record["error"] = errors[10_000]
-            record["bound"] = bound
-            report.failures.append(record)
-            _serialize_failure(out_dir, i, dist, record)
+            _fail(report, out_dir, dist, record, "threshold_convergence",
+                  error=errors[10_000], bound=bound)
     report.median_error_small = float(np.median(errs_small)) if errs_small else float("nan")
     report.median_error_large = float(np.median(errs_large)) if errs_large else float("nan")
-    if report.failures and raise_on_failure:
-        raise OracleSuiteFailure(
-            f"{len(report.failures)} of {trials} trials failed; artifacts in "
-            f"{out_dir!r}")
     return report

@@ -209,13 +209,13 @@ def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
     pilot: its exact root theta places the band theta +- delta
     (``_band_halfwidth``).  Of every block the pass keeps the scores inside
     the band; of the others, the largest below the band, the least above it
-    and the count and sum above it; of all, the sum and the count of positive
-    scores.  That is the carry ``solve_threshold`` takes.  Every block's
-    scores are checked as ``ScoreSample`` checks them.  The band is filled
-    into one buffer sized by ``_band_room`` and grown only when a block
-    outgrows it, so it is held once.  None when the root of the whole sample
+    and the count and sum above it; of all, the sum.  That is the carry
+    ``solve_threshold`` takes.  Every block's scores are checked as
+    ``ScoreSample`` checks them.  The band is filled into one buffer sized
+    by ``_band_room`` and grown only when a block outgrows it, so it is held
+    once.  None when the root of the whole sample
     is not in the band (nor in the gaps just outside)."""
-    positive = above = filled = 0
+    above = filled = 0
     total = above_sum = floor = 0.0
     ceiling = math.inf
     band = lo = hi = None
@@ -229,7 +229,6 @@ def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
             lo, hi = theta - delta, theta + delta
             band = np.empty(_band_room(pilot, lo, hi, unlabeled.n))
             del pilot
-        positive += int(np.count_nonzero(scores))
         total += float(scores.sum())
         high, low = scores > hi, scores < lo
         above += int(np.count_nonzero(high))
@@ -256,7 +255,7 @@ def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
     band.sort()
     band.setflags(write=False)
     carry = Carry(floor=floor, above=above, above_sum=above_sum,
-                  count=unlabeled.n, total=total, positive=positive)
+                  count=unlabeled.n, total=total)
     return empirical_threshold(ScoreSample(values=band), params, carry)
 
 

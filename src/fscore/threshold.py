@@ -49,11 +49,12 @@ def empirical_threshold(sample: ScoreSample, params: FBetaParams = FBetaParams()
     With a ``carry`` the sample holds only a run of consecutive sorted
     scores of a larger sample, which the carry sums up: the root is that of
     the larger sample, or None when it does not lie within the run (see
-    ``solve_threshold``), and the warning counts the carry's positive
-    scores.
+    ``solve_threshold``), and no score is positive when the carry's total
+    is not: a float sum of scores in [0, 1] is positive exactly when one of
+    them is.
     """
     values = sample.values
-    if not (values.max() > 0.0 if carry is None else carry.positive > 0):
+    if not (values.max() > 0.0 if carry is None else carry.total > 0.0):
         warnings.warn("no score is positive; returning theta_hat = 0",
                       DegenerateScoreSample)
         return 0.0

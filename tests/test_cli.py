@@ -111,7 +111,24 @@ def test_oracle_suite_subcommand(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "oracle-suite", "--trials", "20",
                               "--seed", "0", "--out", str(tmp_path / "f"))
     assert code == 0
-    assert json.loads(stdout)["ok"] is True
+    summary = json.loads(stdout)
+    assert summary["ok"] is True and summary["failures"] == 0
+    assert not (tmp_path / "f").exists()
+
+
+def test_oracle_suite_failure_exits_1(tmp_path, capsys, monkeypatch):
+    from fscore import oracle
+    true_excess = oracle.excess_fbeta
+    monkeypatch.setattr(oracle, "excess_fbeta",
+                        lambda dist, g, params: true_excess(dist, g, params) + 1e-6)
+    code, stdout, stderr = run_cli(capsys, "oracle-suite", "--trials", "2",
+                                   "--seed", "0", "--out", str(tmp_path / "f"))
+    assert code == 1 and stderr == ""
+    summary = json.loads(stdout)
+    assert summary["ok"] is False and summary["failures"] == 2
+    assert summary["passes_excess_identity"] == 0
+    assert sorted(p.name for p in (tmp_path / "f").iterdir()) == [
+        "trial_00000.csv", "trial_00000.json", "trial_00001.csv", "trial_00001.json"]
 
 
 def test_train_predict_round_trip(tmp_path, capsys):

@@ -154,6 +154,51 @@ def test_inputs_checked_where_they_enter(build, error, name):
     assert caught.type is error
 
 
+_FOUR = fs.LabeledDataset(points=np.linspace(0.0, 1.0, 4)[:, None], labels=[0, 1, 0, 1])
+_EMPTY_FIT = harness.RateFitResult(kind="excess", rows=[], slope=math.nan,
+                                   intercept=math.nan, slope_halfwidth=math.nan,
+                                   theory_slope=None, excluded_cells=0,
+                                   inf_rate=True, config={})
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: fs.LabeledDataset(points=np.zeros((2, 1)), labels=[1]), ValueError,
+     "points and labels must be nonempty and equal length"),
+    (lambda: fs.default_bandwidth(0, fs.SmoothnessSpec(beta=1.0), 1), ValueError,
+     "n must be at least 1"),
+    (lambda: fs.default_bandwidth(10, fs.SmoothnessSpec(beta=1.0), 0), ValueError,
+     "d must be at least 1"),
+    (lambda: fs.KNNEstimate(_FOUR, k=5), ValueError, r"k must be in \[1, 4\], got 5"),
+    (lambda: fs.as_bits(fs.uniform_eta_grid(3), [0, 1]), ValueError,
+     "classifier covers 2 points, support has 3"),
+    (lambda: fs.DiscreteDistribution(support=np.empty((0, 1)), mass=[], eta=[]),
+     ValueError, "distribution needs at least one support point"),
+    (lambda: fs.solve_threshold([]), ValueError, "empty value sequence"),
+    (lambda: fs.MarginSpec(alpha=-1.0), ValueError, "alpha must be positive"),
+    (lambda: fs.make_smooth_1d_family(beta=1.5), fs.ConstructionError,
+     r"beta must lie in \(0, 1\], got 1.5"),
+    (lambda: fs.make_smooth_1d_family(x0=1.0), fs.ConstructionError,
+     r"x0 must lie in \(0, 1\), got 1.0"),
+    # the family is built, but its margin self-check measures 1.234
+    (lambda: fs.make_smooth_1d_family(slope=0.01, alpha_target=4.0),
+     fs.ConstructionError, "measured margin exponent 1.234 is off target 4.000"),
+    (lambda: fs.make_constant_family(eta_value=1.5), fs.ConstructionError,
+     r"eta_value must lie in \(0, 1\]"),
+    (lambda: fs.verify_strong_density(fs.make_two_point_family())["note"], None,
+     "no Lebesgue density declared"),
+    (lambda: emit_report(_EMPTY_FIT, "xml", "out"), ValueError, "unknown format 'xml'$"),
+])
+def test_input_checks_reject_what_they_name(build, error, match, monkeypatch, tmp_path):
+    # each check names what it rejects; the density check returns a note
+    monkeypatch.chdir(tmp_path)
+    if error is None:
+        assert re.search(match, build())
+        return
+    with pytest.raises(error, match=match) as caught:
+        build()
+    assert caught.type is error
+
+
 def test_rate_experiment_shape_and_determinism():
     cfg = ExperimentConfig(**SMALL)
     a = run_rate_experiment(cfg)
@@ -323,6 +368,14 @@ def test_degenerate_draws_dropped_and_counted(tmp_path):
     (json_path,) = emit_report(res, "json", str(tmp_path))
     rows = json.loads(open(json_path).read())["rows"]
     assert [r["reps_valid"] for r in rows] == [r["reps_valid"] for r in res.rows]
+
+
+def test_all_degenerate_cell_is_an_error():
+    # eta = 1e-12 draws no positive label at n = 5, so no replicate remains
+    cfg = ExperimentConfig(family="constant", family_params={"eta_value": 1e-12},
+                           n_grid=(5, 10), reps=2, oracle_atoms=100)
+    with pytest.raises(RuntimeError, match="all replications degenerate at n=5"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("method", ["knn", "kernel"])
@@ -521,6 +574,25 @@ def test_unpicklable_worker_error_is_named(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(harness, "_replicate", failing)
     with pytest.raises(RuntimeError, match="TwoArgumentFault: 7: no good"):
+        run_experiment(ExperimentConfig(family="constant", n_grid=(100, 200),
+                                        reps=1, oracle_atoms=100))
+    assert_no_child_left()
+
+
+def test_worker_that_dies_without_a_result_is_an_error(monkeypatch):
+    # a child killed before it writes its share (say, for using too much
+    # memory) leaves an empty pipe; the caller raises and reaps it
+    parent = os.getpid()
+
+    def dying(family, oracle, cfg, n, seed):
+        if os.getpid() != parent:
+            os._exit(3)
+        return {"theta_hat": 0.5, "theta_err": 0.1, "excess": 0.1}
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_replicate", dying)
+    with pytest.raises(RuntimeError, match="a replicate worker exited with "
+                                           "status 3 and no result"):
         run_experiment(ExperimentConfig(family="constant", n_grid=(100, 200),
                                         reps=1, oracle_atoms=100))
     assert_no_child_left()

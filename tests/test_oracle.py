@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,32 @@ def test_suite_clean_run(tmp_path):
     assert report.passes_threshold_convergence == 50
     assert report.median_error_large < report.median_error_small
     assert not (tmp_path / "fail").exists()
+
+
+def test_suite_reports_failures_and_writes_replays(monkeypatch, tmp_path):
+    # a Lemma-1 excess off by 1e-6 fails every trial's excess identity; the
+    # suite records and writes each failure and returns, raising nothing
+    from fscore import oracle
+    true_excess = oracle.excess_fbeta
+    monkeypatch.setattr(oracle, "excess_fbeta",
+                        lambda dist, g, params: true_excess(dist, g, params) + 1e-6)
+    out = tmp_path / "fail"
+    report = fs.randomized_identity_suite(3, seed=0, out_dir=str(out))
+    assert not report.ok
+    assert report.passes_optimality == 3 and report.passes_excess_identity == 0
+    assert [r["trial"] for r in report.failures] == [0, 1, 2]
+    for record in report.failures:
+        assert record["failure"] == "excess_identity"
+        assert record["lemma1"] - record["direct"] == pytest.approx(1e-6, abs=1e-12)
+        stem = out / f"trial_{record['trial']:05d}"
+        assert json.loads(stem.with_suffix(".json").read_text()) == record
+        assert stem.with_suffix(".csv").exists()
+    # trial 0's law is the first the seed draws
+    replay = fs.DiscreteDistribution.from_csv(out / "trial_00000.csv")
+    drawn = fs.random_distribution(np.random.default_rng(0), k_max=12)
+    assert replay.size == 11
+    for name in ("support", "mass", "eta"):
+        np.testing.assert_array_equal(getattr(replay, name), getattr(drawn, name))
 
 
 def test_suite_rejects_zero_trials(tmp_path):
