@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -142,8 +143,8 @@ def _experiment_config(args) -> ExperimentConfig:
     if "estimator" in cfg:
         cfg["estimator"] = _parse_estimator(cfg["estimator"])
     if args.n_rule is not None:
-        # integers become a fixed N; ExperimentConfig checks the rest
-        cfg["n_rule"] = int(args.n_rule) if args.n_rule.lstrip("+-").isdigit() \
+        # an integer becomes a fixed N; ExperimentConfig checks the rest
+        cfg["n_rule"] = int(args.n_rule) if re.fullmatch(r"[+-]?\d+", args.n_rule) \
             else args.n_rule
     return ExperimentConfig(**cfg)
 

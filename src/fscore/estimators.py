@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import _ascending
 from .discrete import frozen_array, require_finite
 from .table import read_table, write_table
 
@@ -315,8 +316,16 @@ class LocalPolyEstimate:
             terms.append((w > 0).astype(float))
         return np.array([np.bincount(rows, t, minlength=block.shape[0]) for t in terms])
 
-    def evaluate(self, x) -> np.ndarray:
+    def _ascending_batch(self, x) -> tuple[np.ndarray, bool, np.ndarray | None]:
+        """``_as_batch`` of x, 1-d queries sorted as the sweep needs, and the order
+        that sorted them (None if they ascend); equal queries get equal bits."""
         queries, single = _as_batch(x, self._data.d)
+        order = None if self._prefix is None or _ascending(queries[:, 0]) \
+            else np.argsort(queries[:, 0])
+        return (queries if order is None else queries[order]), single, order
+
+    def evaluate(self, x) -> np.ndarray:
+        queries, single, order = self._ascending_batch(x)
         # Fixed blocks bound the temporaries whatever the number of queries.
         step, floor = (_CHUNK, 0.0) if self._prefix is None \
             else (_PREFIX_CHUNK, _PREFIX_FLOOR)
@@ -337,25 +346,24 @@ class LocalPolyEstimate:
                 nearest = self._index.nearest(block[~ok], 1)[:, 0]
                 vals[~ok] = self._data.labels[nearest]
         np.clip(out, 0.0, 1.0, out=out)
+        if order is not None:  # back in the caller's order
+            out[order] = out.copy()
         return out[0] if single else out
 
     def exceeds(self, x, theta) -> np.ndarray | bool:
         """The bits 1{eta_hat(x) > theta}, equal to ``evaluate(x) > theta``.
-        The 1-d degree-0 sweep sorts the queries and certifies the bits of
-        whole spans of them from one query each (``_AnchoredPrefix.certify``):
+        The 1-d degree-0 sweep certifies the bits of whole spans of the
+        sorted queries from one query each (``_AnchoredPrefix.certify``):
         spans of _COARSE * _SPAN queries first, then the spans of _SPAN of
         those it cannot certify; it evaluates only the spans of _SPAN it
         still cannot certify.  Every other case, and a theta outside [0, 1),
         compares ``evaluate``."""
         if self._prefix is None or self.degree or not 0.0 <= theta < 1.0:
             return self.evaluate(x) > theta
-        queries, single = _as_batch(x, 1)
+        queries, single, order = self._ascending_batch(x)
         t = queries[:, 0]
         if not t.size:
             return t > theta
-        order = None if np.all(t[1:] >= t[:-1]) else np.argsort(t)
-        if order is not None:
-            t = t[order]
         theta = float(theta)
 
         def certify(first, size):  # the last span may be short
@@ -586,26 +594,15 @@ class _AnchoredPrefix:
             & (np.maximum(top, self.extent) <= 2.0 ** 26 * h)
         return q > 0.0, sure
 
-    def moments(self, t: np.ndarray) -> np.ndarray:
-        """Per query, in rows: sum w z^j, j <= 2p, sum w z^j y, j <= p, and
-        from degree 1 on, the number of distinct points in the window."""
-        if not np.all(t[1:] >= t[:-1]):
-            # equal queries get equal arithmetic, so each keeps its bits
-            order = np.argsort(t)
-            out = np.empty((len(self.cums) - 3, t.size))
-            out[:, order] = self.moments(t[order])
-            return out
-        return self._moments(t, *self._runs(t))
-
     def block_moments(self, t: np.ndarray, size: int):
-        """``moments`` of each block t[i:i + size], i = 0, size, .., in turn
-        and with the same bits.  An ascending ``t`` longer than one block
-        that ``_runs`` places in its regime "runs" is placed once, and its
-        runs are cut at the block edges: a query's sums are the same whatever
-        run gives them, and the temporaries stay those of one block."""
+        """``moments`` of each block t[i:i + size], i = 0, size, .., of ascending
+        ``t``, in turn and with the same bits.  A ``t`` longer than one block that
+        ``_runs`` places in its regime "runs" is placed once, and its runs are cut
+        at the block edges: a query's sums are the same whatever run gives them,
+        and the temporaries stay those of one block."""
         m = t.size
         blocks = np.arange(0, m, size)
-        if m <= size or not np.all(t[1:] >= t[:-1]) or self._regime(t) != "runs":
+        if m <= size or self._regime(t) != "runs":
             for start in blocks:
                 yield self.moments(t[start:start + size])
             return
@@ -616,11 +613,13 @@ class _AnchoredPrefix:
         lo, hi, lengths = lo[run], hi[run], np.diff(cut, append=m)
         first = np.searchsorted(cut, blocks)
         for start, a, b in zip(blocks, first, [*first[1:], cut.size]):
-            yield self._moments(t[start:start + size], lo[a:b], hi[a:b], lengths[a:b])
+            yield self.moments(t[start:start + size], (lo[a:b], hi[a:b], lengths[a:b]))
 
-    def _moments(self, t: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 lengths: np.ndarray | None) -> np.ndarray:
-        """``moments`` of ascending ``t`` from its ranges of ``_runs``."""
+    def moments(self, t: np.ndarray, ranges: tuple | None = None) -> np.ndarray:
+        """Per query of ascending ``t``, in rows: sum w z^j, j <= 2p, sum w z^j y,
+        j <= p, and from degree 1 on, the number of distinct points in the window;
+        from t's ``ranges`` of ``_runs`` where they are known."""
+        lo, hi, lengths = self._runs(t) if ranges is None else ranges
         p = self.degree
         out = np.empty((len(self.cums) - 3, t.size))
         sums = np.take(self.cums, hi, axis=1)

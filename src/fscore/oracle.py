@@ -69,12 +69,8 @@ def scan_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParams
 
     grid = np.linspace(0.0, 1.0, grid_size + 1)
     vals = equation(grid)
-    nonneg = np.flatnonzero(vals >= 0.0)
-    if nonneg.size == 0:  # no sign change found: root at the right edge
-        return float(grid[-1])
-    idx = int(nonneg[0])
-    if idx == 0:
-        return float(grid[0])
+    # P(Y=1) > 0 and eta <= 1: the map is -P(Y=1) < 0 at 0 and >= 0 at 1
+    idx = int(np.flatnonzero(vals >= 0.0)[0])
     lo, hi = grid[idx - 1], grid[idx]
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -224,7 +224,8 @@ def test_error_record_on_failure(tmp_path, capsys):
     record = json.loads(stderr)
     assert record["error"] == "ValueError"
     assert "bogus" in record["message"]
-    for rule in ("0", "-5", "n3"):
+    # "+-5" failed on int() with a message that did not name n_rule
+    for rule in ("0", "-5", "n3", "+-5"):
         code, _, stderr = run_cli(capsys, "rate", "--n-rule", rule,
                                   "--out", str(tmp_path))
         assert code != 0 and "n_rule" in json.loads(stderr)["message"]

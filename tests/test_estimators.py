@@ -459,7 +459,9 @@ def test_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("degree", [0, 1])
 def test_sorted_batch_placed_once_keeps_every_bit(monkeypatch, degree):
     # an ascending batch of three blocks, placed once: its runs cross the
-    # block edges, and the gap in the data leaves windows empty (1-NN)
+    # block edges, and the gap in the data leaves windows empty (1-NN).
+    # Reversed or permuted, the batch is sorted once at entry and placed
+    # whole as well, and every value and bit comes back in the caller's order
     rng = np.random.default_rng(degree)
     x = np.r_[rng.random(20) * 0.4, 0.7 + rng.random(20) * 0.3]
     data = LabeledDataset(points=x[:, None], labels=(rng.random(40) < 0.5).astype(float))
@@ -476,6 +478,17 @@ def test_sorted_batch_placed_once_keeps_every_bit(monkeypatch, degree):
     assert_same_bits(out, np.concatenate(blocks))
     if degree == 0:
         assert_same_bits(out, searched_epanechnikov(data, 0.05, t[:, None]))
+    runs, calls = estimators._AnchoredPrefix._runs, []
+
+    def counted(self, queries):
+        calls.append(queries.size)
+        return runs(self, queries)
+    monkeypatch.setattr(estimators._AnchoredPrefix, "_runs", counted)
+    for order in (np.arange(t.size)[::-1], rng.permutation(t.size)):
+        calls.clear()
+        assert_same_bits(est.evaluate(t[order, None]), out[order])
+        assert calls == [t.size]
+        np.testing.assert_array_equal(est.exceeds(t[order, None], 0.5), out[order] > 0.5)
 
 
 def test_kernel_fast_path_memory_bounded():

@@ -187,9 +187,12 @@ _EMPTY_FIT = harness.RateFitResult(kind="excess", rows=[], slope=math.nan,
     (lambda: fs.verify_strong_density(fs.make_two_point_family())["note"], None,
      "no Lebesgue density declared"),
     (lambda: emit_report(_EMPTY_FIT, "xml", "out"), ValueError, "unknown format 'xml'$"),
+    # an empty DKW table raised a bare IndexError
+    (lambda: emit_report([], "csv", "out"), ValueError, "a DKW table needs at least one row"),
 ])
 def test_input_checks_reject_what_they_name(build, error, match, monkeypatch, tmp_path):
-    # each check names what it rejects; the density check returns a note
+    # each check names what it rejects, before any file is written; the
+    # density check returns a note
     monkeypatch.chdir(tmp_path)
     if error is None:
         assert re.search(match, build())
@@ -197,6 +200,7 @@ def test_input_checks_reject_what_they_name(build, error, match, monkeypatch, tm
     with pytest.raises(error, match=match) as caught:
         build()
     assert caught.type is error
+    assert not any(tmp_path.iterdir())
 
 
 def test_rate_experiment_shape_and_determinism():
