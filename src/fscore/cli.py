@@ -13,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .plugin import (PluginClassifier, UnlabeledDataset, predictions_to_csv,
 # a flag overrides the config file, which overrides these
 _DKW_DEFAULTS = {"n_values": "100,1000,10000", "t_values": "0.01,0.05,0.1",
                  "reps": 2000, "seed": 0}
+_RATE_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,11 +92,22 @@ def _print_json(record, file=None) -> None:
                      allow_nan=False), file=file)
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys) -> dict:
+    """The JSON object in the config file ``path``, {} without one.  A file
+    that holds anything else, or a key not in ``keys``, raises a ValueError
+    that names the file."""
     if not path:
         return {}
     with open(path) as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a config file must hold a JSON object, "
+                         f"got {type(cfg).__name__}")
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f"{path}: unknown config key {key!r}, expected one "
+                             f"of {', '.join(keys)}")
+    return cfg
 
 
 def _parse_estimator(raw) -> dict:
@@ -135,7 +147,7 @@ def _with_flags(cfg: dict, args, keys) -> dict:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    cfg = _with_flags(_load_config(args.config), args,
+    cfg = _with_flags(_load_config(args.config, _RATE_KEYS), args,
                       ("n_grid", "reps", "seed", "family", "estimator", "b"))
     if "n_grid" in cfg:
         # parsed as numbers only: ExperimentConfig rejects a fractional size
@@ -158,8 +170,8 @@ def _run(args) -> int:
                      "written": paths})
         return 0
     if args.command == "dkw":
-        cfg = _with_flags({**_DKW_DEFAULTS, **_load_config(args.config)}, args,
-                          _DKW_DEFAULTS)
+        loaded = _load_config(args.config, _DKW_DEFAULTS)
+        cfg = _with_flags({**_DKW_DEFAULTS, **loaded}, args, _DKW_DEFAULTS)
         # parsed as numbers only: run_dkw_check rejects a fractional N or reps
         rows = run_dkw_check(_number_list(cfg["n_values"], "N_values"),
                              _number_list(cfg["t_values"], "t_values"),

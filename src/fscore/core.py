@@ -35,14 +35,13 @@ class Carry(NamedTuple):
     total: float
 
 
-def threshold_equation(theta, values, weights=None, b: float = 1.0,
-                       carry: Carry | None = None):
-    """b^2*theta*S - sum_i w_i (v_i - theta)_+  with S = sum_i w_i v_i.
+def threshold_equation(theta: float, values, weights=None, b: float = 1.0,
+                       carry: Carry | None = None) -> float:
+    """b^2*theta*S - sum_i w_i (v_i - theta)_+  with S = sum_i w_i v_i, at
+    one theta.
 
     Without ``weights`` every value weighs 1.  Strictly increasing in theta
-    whenever S > 0.  Vectorized over theta; the values are taken in chunks
-    of _SCAN_CHUNK // len(theta) (at least one), so no len(theta) by
-    len(values) array is formed.
+    whenever S > 0.  The values are taken _SCAN_CHUNK at a time.
 
     With a ``carry`` the values are a run of a larger unweighted sample: S
     is ``carry.total``, and the values above the run add
@@ -52,26 +51,23 @@ def threshold_equation(theta, values, weights=None, b: float = 1.0,
     values = np.asarray(values, dtype=float).ravel()
     if weights is not None:
         weights = np.asarray(weights, dtype=float).ravel()
-    th = np.asarray(theta, dtype=float)
-    th1 = np.atleast_1d(th)
-    step = max(1, _SCAN_CHUNK // th1.size)
+    theta = float(theta)
     s = 0.0
-    pos = np.zeros(th1.size) if carry is None else carry.above_sum - carry.above * th1
-    for start in range(0, values.size, step):
-        v = values[start:start + step]
-        part = v - th1[:, None]
+    pos = 0.0 if carry is None else carry.above_sum - carry.above * theta
+    for start in range(0, values.size, _SCAN_CHUNK):
+        v = values[start:start + _SCAN_CHUNK]
+        part = v - theta
         np.maximum(part, 0.0, out=part)
         if weights is None:
             s += float(v.sum())
-            pos += part.sum(axis=1)
+            pos += float(part.sum())
         else:
-            w = weights[start:start + step]
+            w = weights[start:start + _SCAN_CHUNK]
             s += float(w @ v)
-            pos += part @ w
+            pos += float(part @ w)
     if carry is not None:
         s = carry.total
-    out = b * b * s * th1 - pos
-    return float(out[0]) if th.ndim == 0 else out
+    return b * b * s * theta - pos
 
 
 def solve_threshold(values, weights=None, b: float = 1.0,
@@ -221,18 +217,33 @@ def bayes_threshold(dist: DiscreteDistribution, params: FBetaParams = FBetaParam
 
 def bayes_classifier(dist: DiscreteDistribution, params: FBetaParams = FBetaParams()) -> np.ndarray:
     """Bit-vector of the optimal rule 1{eta_i > theta*} (strict inequality)."""
-    theta = bayes_threshold(dist, params)
-    return (dist.eta > theta).astype(np.int64)
+    return _Oracle(dist, params.b).star.astype(np.int64)
 
 
 def excess_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParams()) -> float:
     """Optimality gap F_b(g*) - F_b(g) by the weighted-disagreement identity
     (``lemma1_excess``)."""
-    bits = as_bits(dist, g)
-    theta = bayes_threshold(dist, params)
-    star = dist.eta > theta
-    return lemma1_excess(dist.mass, np.abs(dist.eta - theta), star, bits,
-                         params.b2, dist.p_y1, float(dist.mass[star].sum()))
+    return _Oracle(dist, params.b).excess(as_bits(dist, g))
+
+
+class _Oracle:
+    """The exact population oracle of a discrete law: theta*, the bits of
+    g* = 1{eta > theta*}, |eta - theta*|, P(Y = 1) and P(g* = 1), from which
+    ``excess`` gives the Lemma-1 excess of any bits over the support.  The
+    rate harness builds one per experiment and reuses it across replicates."""
+
+    def __init__(self, dist: DiscreteDistribution, b: float):
+        self.dist = dist
+        self.b2 = b * b
+        self.theta = solve_threshold(dist.eta, dist.mass, b)
+        self.star = dist.eta > self.theta
+        self.gap = np.abs(dist.eta - self.theta)
+        self.p_y1 = dist.p_y1
+        self.p_star = float(dist.mass[self.star].sum())
+
+    def excess(self, bits: np.ndarray) -> float:
+        return lemma1_excess(self.dist.mass, self.gap, self.star, bits,
+                             self.b2, self.p_y1, self.p_star)
 
 
 def lemma1_excess(mass, gap, star, bits, b2: float, p_y1: float, p_star: float) -> float:

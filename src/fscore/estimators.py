@@ -644,6 +644,9 @@ class _AnchoredPrefix:
 
 _ESTIMATORS = {"knn": KNNEstimate, "kernel": KernelEstimate,
                "local_poly": LocalPolyEstimate}
+# each method's constructor arguments after the data: the keys of its
+# ``hyperparameters`` and the estimator keys a config may set
+_HYPERPARAMETERS = {"knn": ("k",), "kernel": ("h",), "local_poly": ("degree", "h")}
 
 
 def fit_from_config(data: LabeledDataset,
@@ -654,12 +657,17 @@ def fit_from_config(data: LabeledDataset,
     This is the one place that fills in rate-matched defaults: missing
     bandwidths h = n^{-1/(2 beta + d)}, neighbour counts
     k = ceil(n^{2 beta/(2 beta + d)}) and degrees floor(beta), for the
-    smoothness in ``config['beta']`` (1.0 if absent).
+    smoothness in ``config['beta']`` (1.0 if absent).  Any other key raises
+    a ValueError.
     """
     cfg = dict(config)
     method = cfg.pop("method", "kernel")
-    if method not in _ESTIMATORS:
+    if not (isinstance(method, str) and method in _ESTIMATORS):
         raise ValueError(f"unknown estimator method {method!r}")
+    keys = _HYPERPARAMETERS[method]
+    if not set(cfg) <= {"beta", *keys}:
+        raise ValueError(f"estimator keys must be method or beta or {' or '.join(keys)} "
+                         f"for method {method}, got {config!r}")
     spec = SmoothnessSpec(beta=cfg.pop("beta", 1.0))
     scale = default_bandwidth(data.n, spec, data.d)
     if method == "knn":

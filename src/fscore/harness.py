@@ -37,9 +37,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .core import lemma1_excess, solve_threshold
+from .core import _Oracle
 from .discrete import FBetaParams
-from .estimators import _ESTIMATORS, _integer, _positive, _real
+from .estimators import _HYPERPARAMETERS, _integer, _positive, _real
 from .plugin import TrainingDegenerate, train_plugin
 from .synthetic import (AnalyticDistribution, HardFamilyParams, build_hard_family,
                         make_constant_family, make_smooth_1d_family,
@@ -107,14 +107,13 @@ class ExperimentConfig:
                                  f"got {self.n_rule!r}") from None
         est = self.estimator
         method = est.get("method", "kernel") if isinstance(est, dict) else None
-        if not isinstance(method, str) or method not in _ESTIMATORS:
+        if not isinstance(method, str) or method not in _HYPERPARAMETERS:
             raise ValueError("estimator must be a dict whose method is one of "
-                             f"{', '.join(_ESTIMATORS)}, got {est!r}")
+                             f"{', '.join(_HYPERPARAMETERS)}, got {est!r}")
         if "beta" in est:
             raise ValueError("estimator must not set beta, which each replicate "
                              f"takes from the family, got {est!r}")
-        keys = [k for k in inspect.signature(_ESTIMATORS[method]).parameters
-                if k != "data"]
+        keys = _HYPERPARAMETERS[method]
         if not set(est) <= {"method", *keys}:
             raise ValueError(f"estimator keys must be method or {' or '.join(keys)} "
                              f"for method {method}, got {est!r}")
@@ -149,23 +148,6 @@ class RateFitResult:
 
 def build_family(cfg: ExperimentConfig) -> AnalyticDistribution:
     return _FAMILIES[cfg.family](**cfg.family_params)
-
-
-class _Oracle:
-    """Discretized exact oracle reused across replications."""
-
-    def __init__(self, family: AnalyticDistribution, n_atoms: int, b: float):
-        self.dist = family.discretize(n_atoms)
-        self.b2 = b * b
-        self.theta = solve_threshold(self.dist.eta, self.dist.mass, b)
-        self.star = self.dist.eta > self.theta
-        self.gap = np.abs(self.dist.eta - self.theta)
-        self.p_y1 = self.dist.p_y1
-        self.p_star = float(self.dist.mass[self.star].sum())
-
-    def excess(self, bits: np.ndarray) -> float:
-        return lemma1_excess(self.dist.mass, self.gap, self.star, bits,
-                             self.b2, self.p_y1, self.p_star)
 
 
 @dataclass(frozen=True)
@@ -220,7 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[RateFitResult, RateFitResult]
     """Excess-score and |theta_hat - theta*| decay across the n grid, both
     from one pass: every replicate's fit gives a value to each curve."""
     family = build_family(cfg)
-    oracle = _Oracle(family, cfg.oracle_atoms, cfg.b)
+    oracle = _Oracle(family.discretize(cfg.oracle_atoms), cfg.b)
     cells = [(n, cfg.seed + _CELL_SEED_STRIDE * n_index + rep)
              for n_index, n in enumerate(cfg.n_grid) for rep in range(cfg.reps)]
     results = _run_cells(family, oracle, cfg, cells)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import Carry, solve_threshold
 from .discrete import FBetaParams, frozen_array
-from .estimators import (KernelEstimate, KNNEstimate, LabeledDataset,
-                         LocalPolyEstimate, _real, fit_from_config)
+from .estimators import (_HYPERPARAMETERS, KernelEstimate, KNNEstimate,
+                         LabeledDataset, LocalPolyEstimate, _real, fit_from_config)
 from .table import read_table, write_table
 from .threshold import ScoreSample, empirical_threshold
 
@@ -103,11 +103,30 @@ class PluginClassifier:
 
     @classmethod
     def load(cls, prefix: str) -> "PluginClassifier":
-        with open(f"{prefix}.json") as fh:
+        """The classifier that ``save`` wrote to ``prefix``, as written: the
+        record must be a JSON object with method, hyperparameters, theta_hat
+        and b, and its hyperparameters exactly those of its method, so the
+        rate-matched defaults fill nothing in.  Otherwise a ValueError names
+        the file and the field."""
+        path = f"{prefix}.json"
+        with open(path) as fh:
             record = json.load(fh)
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}: a model file must hold a JSON object, "
+                             f"got {type(record).__name__}")
+        for key in ("method", "hyperparameters", "theta_hat", "b"):
+            if key not in record:
+                raise ValueError(f"{path}: the model record has no {key}")
+        method, hyper = record["method"], record["hyperparameters"]
+        if not (isinstance(method, str) and method in _HYPERPARAMETERS):
+            raise ValueError(f"{path}: method must be one of "
+                             f"{', '.join(_HYPERPARAMETERS)}, got {method!r}")
+        keys = _HYPERPARAMETERS[method]
+        if not (isinstance(hyper, dict) and sorted(hyper) == sorted(keys)):
+            raise ValueError(f"{path}: hyperparameters of method {method} must "
+                             f"hold exactly {' and '.join(keys)}, got {hyper!r}")
         data = LabeledDataset.from_csv(f"{prefix}_data.csv")
-        config = {"method": record["method"], **record["hyperparameters"]}
-        eta_hat = fit_from_config(data, config)
+        eta_hat = fit_from_config(data, {"method": method, **hyper})
         # b is the one parameter read; older files carry a second key, which
         # never changed a prediction
         params = FBetaParams(b=record["b"])

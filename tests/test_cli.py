@@ -76,7 +76,9 @@ def test_dkw_rejects_fractional_integers(tmp_path, capsys):
                           ({"reps": 200.9}, "reps"),
                           ({"seed": 1.5}, "seed"),
                           ({"n_values": "0,100"}, "N_values"),
-                          ({"seed": -1}, "seed")):
+                          ({"seed": -1}, "seed"),
+                          # a misspelt key was ignored and the default N grid ran
+                          ({"N_values": [100]}, "'N_values'")):
         cfg = tmp_path / "dkw.json"
         cfg.write_text(json.dumps({"t_values": [0.1], "reps": 100, **values}))
         code, stdout, stderr = run_cli(capsys, "dkw", "--config", str(cfg),
@@ -84,6 +86,13 @@ def test_dkw_rejects_fractional_integers(tmp_path, capsys):
         assert code != 0 and stdout == ""
         record = json.loads(stderr)
         assert record["error"] == "ValueError" and field in record["message"]
+    # a list failed with a TypeError: 'list' object is not a mapping
+    cfg.write_text(json.dumps([1, 2]))
+    code, stdout, stderr = run_cli(capsys, "dkw", "--config", str(cfg),
+                                   "--out", str(tmp_path / "o"))
+    record = json.loads(stderr)
+    assert code == 2 and stdout == "" and record["error"] == "ValueError"
+    assert record["message"].startswith(f"{cfg}: ") and "JSON object" in record["message"]
     assert not (tmp_path / "o").exists()
     # integral floats and numeric strings are still accepted
     for values in ({"n_values": [50.0], "reps": 100.0, "seed": 2.0},
@@ -195,14 +204,21 @@ def test_train_requires_unlabeled(tmp_path, capsys):
 
 
 def test_rate_rejects_a_key_the_estimator_does_not_take(tmp_path, capsys):
-    # the kernel takes no k: it failed inside a replicate worker
-    code, stdout, stderr = run_cli(capsys, "rate", "--estimator",
-                                   '{"method": "kernel", "k": 5}',
-                                   "--out", str(tmp_path / "rep"))
-    record = json.loads(stderr)
-    assert code == 2 and stdout == "" and record["error"] == "ValueError"
-    assert record["message"].startswith("estimator keys must")
-    assert not (tmp_path / "rep").exists()
+    # the kernel takes no k: rate failed inside a replicate worker, and train
+    # with a TypeError from the estimator's constructor
+    fam = fs.make_smooth_1d_family()
+    fs.sample(fam, 100, seed=1, labeled=True).to_csv(tmp_path / "lab.csv")
+    fs.sample(fam, 100, seed=2, labeled=False).to_csv(tmp_path / "unl.csv")
+    for command, args in (("rate", ()),
+                          ("train", ("--labeled", str(tmp_path / "lab.csv"),
+                                     "--unlabeled", str(tmp_path / "unl.csv")))):
+        code, stdout, stderr = run_cli(capsys, command, *args, "--estimator",
+                                       '{"method": "kernel", "k": 5}',
+                                       "--out", str(tmp_path / "rep"))
+        record = json.loads(stderr)
+        assert code == 2 and stdout == "" and record["error"] == "ValueError"
+        assert record["message"].startswith("estimator keys must")
+        assert not list(tmp_path.glob("rep*"))
 
 
 def test_rate_rejects_estimator_beta(tmp_path, capsys):
@@ -257,6 +273,16 @@ def test_error_record_on_failure(tmp_path, capsys):
     record = json.loads(stderr)
     assert code == 2 and stdout == "" and record["error"] == "ValueError"
     assert "b must" in record["message"] and "'2'" in record["message"]
+    # a config file that holds no JSON object failed on .update() with an
+    # AttributeError; a key ExperimentConfig does not take with a TypeError
+    for value, words in (([1, 2], "JSON object"), ({"N_grid": [100]}, "'N_grid'")):
+        cfg.write_text(json.dumps(value))
+        code, stdout, stderr = run_cli(capsys, "rate", "--config", str(cfg),
+                                       "--out", str(tmp_path / "cfg"))
+        record = json.loads(stderr)
+        assert code == 2 and stdout == "" and record["error"] == "ValueError"
+        assert record["message"].startswith(f"{cfg}: ") and words in record["message"]
+        assert not (tmp_path / "cfg").exists()
 
 
 def test_dkw_rejects_empty_lists(tmp_path, capsys):

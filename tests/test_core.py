@@ -67,11 +67,11 @@ def test_exact_and_bisect_agree():
 def test_threshold_equation_signs():
     d = two_point()
     theta = fs.bayes_threshold(d)
-    g = fs.threshold_equation(np.array([theta - 0.01, theta, theta + 0.01]),
-                              d.eta, d.mass, 1.0)
+    g = [fs.threshold_equation(t, d.eta, d.mass, 1.0)
+         for t in (theta - 0.01, theta, theta + 0.01)]
     assert g[0] < 0 < g[2]
     assert abs(g[1]) < 1e-12
-    # the values are taken in chunks, _SCAN_CHUNK of them for one theta;
+    # the values are taken _SCAN_CHUNK at a time;
     # the dense formula forms every (theta, value) pair at once
     rng = np.random.default_rng(5)
     theta = np.array([0.0, 0.2, 0.45])
@@ -81,11 +81,10 @@ def test_threshold_equation_signs():
             w = np.ones(size) if weights is None else weights
             dense = (4.0 * theta * float(w @ values)
                      - np.clip(values[None, :] - theta[:, None], 0.0, None) @ w)
-            got = fs.threshold_equation(theta, values, weights, 2.0)
-            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * size)
-            one = fs.threshold_equation(theta[1], values, weights, 2.0)
-            assert isinstance(one, float)
-            assert one == pytest.approx(dense[1], abs=1e-12 * size)
+            for t, want in zip(theta, dense):
+                got = fs.threshold_equation(t, values, weights, 2.0)
+                assert isinstance(got, float)
+                assert got == pytest.approx(want, abs=1e-12 * size)
 
 
 def test_every_theta_root_is_checked(monkeypatch):
@@ -100,7 +99,7 @@ def test_every_theta_root_is_checked(monkeypatch):
         lambda: fs.bayes_threshold(fs.uniform_eta_grid(10)),
         lambda: fs.empirical_threshold(fs.ScoreSample(values=np.array([0.2, 0.7]))),
         fs.make_two_point_family,
-        lambda: harness._Oracle(family, 1000, 1.0),
+        lambda: harness._Oracle(family.discretize(1000), 1.0),
     ]
     for call in calls:
         with pytest.raises(ArithmeticError, match="residual"):

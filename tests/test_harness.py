@@ -71,7 +71,7 @@ def test_config_validation(tmp_path):
     assert type(cfg.b) is float and cfg.b == 1.0
     big = ExperimentConfig(b=np.float32(1e30), family="constant").b
     assert type(big) is float and big == float(np.float32(1e30))
-    harness._Oracle(fs.make_constant_family(), 1000, big)
+    harness._Oracle(fs.make_constant_family().discretize(1000), big)
     excess, _ = run_experiment(cfg)
     (path,) = emit_report(excess, "json", str(tmp_path))
     with open(path) as fh:
@@ -346,7 +346,7 @@ def test_sorted_unlabeled_draw_keeps_excess():
     cfg = ExperimentConfig(n_rule="n2", n_grid=(300, 600), reps=1, seed=3,
                            oracle_atoms=20_000)
     family = harness.build_family(cfg)
-    oracle = harness._Oracle(family, cfg.oracle_atoms, cfg.b)
+    oracle = harness._Oracle(family.discretize(cfg.oracle_atoms), cfg.b)
     n, seed = 300, 17
     got = harness._replicate(family, oracle, cfg, n, seed)
     rng = np.random.default_rng(seed)
@@ -358,7 +358,11 @@ def test_sorted_unlabeled_draw_keeps_excess():
                              {"method": "kernel", "h": n ** (-1 / 3)})
     theta = fs.empirical_threshold(fs.ScoreSample(values=est.evaluate(x_unl)))
     assert got["theta_hat"] == theta
-    assert got["excess"] == oracle.excess(est.evaluate(oracle.dist.support) > theta)
+    bits = est.evaluate(oracle.dist.support) > theta
+    assert got["excess"] == oracle.excess(bits)
+    # excess_fbeta builds the same oracle of the same law: the public excess
+    # is the one the curves report, bit for bit
+    assert fs.excess_fbeta(oracle.dist, bits, fs.FBetaParams(b=cfg.b)) == got["excess"]
 
 
 def test_degenerate_draws_dropped_and_counted(tmp_path):
@@ -458,7 +462,7 @@ def test_n2_replicate_keeps_only_the_scores():
     cfg = ExperimentConfig(n_rule="n2", n_grid=(2000,), reps=1, seed=0,
                            oracle_atoms=2000)
     family = harness.build_family(cfg)
-    oracle = harness._Oracle(family, cfg.oracle_atoms, cfg.b)
+    oracle = harness._Oracle(family.discretize(cfg.oracle_atoms), cfg.b)
     big_n = cfg.unlabeled_size(2000)
     tracemalloc.start()
     try:
@@ -492,7 +496,7 @@ def test_n2_replicate_holds_a_band_of_the_scores():
     cfg = ExperimentConfig(n_rule="n2", n_grid=(2000,), reps=1, seed=0,
                            oracle_atoms=2000)
     family = harness.build_family(cfg)
-    oracle = harness._Oracle(family, cfg.oracle_atoms, cfg.b)
+    oracle = harness._Oracle(family.discretize(cfg.oracle_atoms), cfg.b)
     big_n = cfg.unlabeled_size(2000)
     tracemalloc.start()
     try:

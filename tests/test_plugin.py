@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -297,6 +298,34 @@ def test_save_load_round_trip(tmp_path):
         json.dump(record, fh)
     with pytest.raises(ValueError, match="theta_hat"):
         fs.PluginClassifier.load(prefix)
+    # a file loads as written: a beta in hyperparameters loaded a kernel of
+    # the bandwidth rate-matched to it, {} the rate-matched defaults, and a
+    # string or a list raised a bare TypeError, a missing field a KeyError
+    record["theta_hat"] = clf.theta_hat
+    bad = [({**record, "hyperparameters": {"h": 0.11, "beta": 0.25}}, "'beta'"),
+           ({**record, "hyperparameters": {}}, "exactly h, got {}"),
+           ({**record, "hyperparameters": "x"}, "hyperparameters .* got 'x'"),
+           ({**record, "method": "nope"}, "method must"),
+           ([record], "JSON object")]
+    bad += [({k: v for k, v in record.items() if k != field}, f"has no {field}")
+            for field in ("method", "hyperparameters", "theta_hat", "b")]
+    for value, words in bad:
+        with open(f"{prefix}.json", "w") as fh:
+            json.dump(value, fh)
+        with pytest.raises(ValueError, match=f"^{re.escape(prefix)}.json: .*{words}"):
+            fs.PluginClassifier.load(prefix)
+    # every method's saved hyperparameters load as they are, and no others
+    for method in ("kernel", "knn", "local_poly"):
+        fs.train_plugin(labeled, unlabeled, {"method": method}).save(prefix)
+        back = fs.PluginClassifier.load(prefix)
+        with open(f"{prefix}.json") as fh:
+            record = json.load(fh)
+        assert back.eta_hat.hyperparameters == record["hyperparameters"]
+        record["hyperparameters"]["beta"] = 0.25
+        with open(f"{prefix}.json", "w") as fh:
+            json.dump(record, fh)
+        with pytest.raises(ValueError, match="hyperparameters .*'beta': 0.25"):
+            fs.PluginClassifier.load(prefix)
 
 
 def test_theta_hat_validation():
