@@ -76,12 +76,15 @@ def solve_threshold(values, weights=None, b: float = 1.0,
 
     O(K log K): between consecutive sorted values the equation is linear, so
     each segment yields a closed-form candidate which is accepted iff it lies
-    inside the segment.  Without ``weights`` every value weighs 1/K; values
-    that are already ascending are used as they are, others are sorted with
-    ``np.sort``, and the active counts K - j stand in for the weights.  Every
-    sum is taken after sorting, so the uniform root is a bitwise function of
-    the multiset of values.  Returns 0.0 for the degenerate all-zero case
-    (every theta solves the equation there; see package notes).
+    inside the segment.  Values that already ascend are used as they are,
+    with their weights; others are sorted (by ``np.sort``, or with
+    ``weights`` by an argsort that gathers both).  Without ``weights`` every
+    value weighs 1/K and the active counts K - j stand in for the weights.
+    Every sum is taken after sorting, so the uniform root is a bitwise
+    function of the multiset of values, and a weighted root one of the
+    multiset of (value, weight) pairs when tied values weigh the same.
+    Returns 0.0 for the degenerate all-zero case (every theta solves the
+    equation there; see package notes).
 
     The root is checked by one pass of ``threshold_equation`` at it: the
     residual per unit of total weight (per value without ``weights``) above
@@ -97,14 +100,14 @@ def solve_threshold(values, weights=None, b: float = 1.0,
     values = np.asarray(values, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("empty value sequence")
-    if weights is None:
-        v = values if _ascending(values) else np.sort(values)
-        w = None
+    w = None if weights is None else np.asarray(weights, dtype=float).ravel()
+    if _ascending(values):
+        v = values
+    elif w is None:
+        v = np.sort(values)
     else:
-        weights = np.asarray(weights, dtype=float).ravel()
         order = np.argsort(values)
-        v = values[order]
-        w = weights[order]
+        v, w = values[order], w[order]
     theta = _segment_scan(v, w, b * b) if carry is None \
         else _segment_scan(v, None, b * b, carry)
     if theta is None:
@@ -228,43 +231,44 @@ def excess_fbeta(dist: DiscreteDistribution, g, params: FBetaParams = FBetaParam
 
 class _Oracle:
     """The exact population oracle of a discrete law: theta*, the bits of
-    g* = 1{eta > theta*}, |eta - theta*|, P(Y = 1) and P(g* = 1), from which
-    ``excess`` gives the Lemma-1 excess of any bits over the support.  The
-    rate harness builds one per experiment and reuses it across replicates."""
+    g* = 1{eta > theta*}, P(Y = 1) and P(g* = 1), from which ``excess``
+    gives the Lemma-1 excess of any bits over the support.  The rate harness
+    builds one per experiment and reuses it across replicates."""
 
     def __init__(self, dist: DiscreteDistribution, b: float):
         self.dist = dist
         self.b2 = b * b
         self.theta = solve_threshold(dist.eta, dist.mass, b)
         self.star = dist.eta > self.theta
-        self.gap = np.abs(dist.eta - self.theta)
         self.p_y1 = dist.p_y1
         self.p_star = float(dist.mass[self.star].sum())
 
     def excess(self, bits: np.ndarray) -> float:
-        return lemma1_excess(self.dist.mass, self.gap, self.star, bits,
-                             self.b2, self.p_y1, self.p_star)
+        return lemma1_excess(self.dist.mass, self.dist.eta, self.theta, self.star,
+                             bits, self.b2, self.p_y1, self.p_star)
 
 
-def lemma1_excess(mass, gap, star, bits, b2: float, p_y1: float, p_star: float) -> float:
+def lemma1_excess(mass, eta, theta: float, star, bits, b2: float, p_y1: float,
+                  p_star: float) -> float:
     """Excess F_b(g*) - F_b(g) by the weighted-disagreement
     identity (Lemma 1):
 
         sum_i mass_i |eta_i - theta*| 1{g_i != g*_i} / (b^2 P(Y=1) + P(g = 1))
 
-    with ``gap`` = |eta - theta*|, ``star`` the boolean bits of
+    with ``theta`` = theta*, ``star`` the boolean bits of
     g* = 1{eta > theta*} and ``bits`` those of g, all over the support
     points, and ``p_star`` = P(g* = 1).
 
-    Both sums run only over the atoms D where g and g* disagree, which a
-    margin condition keeps few: P(g = 1) is P(g* = 1) plus the mass of D
-    where g = 1, less that of D where g* = 1.  Every sum is numpy's
+    Both sums, and the gaps |eta_i - theta*|, are taken only over the atoms
+    D where g and g* disagree, which a margin condition keeps few: P(g = 1)
+    is P(g* = 1) plus the mass of D where g = 1, less that of D where
+    g* = 1.  Every sum is numpy's
     pairwise ``np.sum`` outside BLAS, so the excess does not depend on the
     BLAS thread count, and g = g* gives exactly 0.0.
     """
     disagree = np.flatnonzero(bits != star)
     on = star[disagree]  # g* = 1, so g = 0, on D
     weight = mass[disagree]
-    num = float(np.sum(weight * gap[disagree]))
+    num = float(np.sum(weight * np.abs(eta[disagree] - theta)))
     den = b2 * p_y1 + (p_star + float(weight[~on].sum()) - float(weight[on].sum()))
     return num / den

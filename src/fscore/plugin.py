@@ -106,7 +106,8 @@ class PluginClassifier:
         """The classifier that ``save`` wrote to ``prefix``, as written: the
         record must be a JSON object with method, hyperparameters, theta_hat
         and b, and its hyperparameters exactly those of its method, so the
-        rate-matched defaults fill nothing in.  Otherwise a ValueError names
+        rate-matched defaults fill nothing in.  Otherwise, and for any value
+        or data row that the classifier does not take, a ValueError names
         the file and the field."""
         path = f"{prefix}.json"
         with open(path) as fh:
@@ -125,13 +126,18 @@ class PluginClassifier:
         if not (isinstance(hyper, dict) and sorted(hyper) == sorted(keys)):
             raise ValueError(f"{path}: hyperparameters of method {method} must "
                              f"hold exactly {' and '.join(keys)}, got {hyper!r}")
-        data = LabeledDataset.from_csv(f"{prefix}_data.csv")
-        eta_hat = fit_from_config(data, {"method": method, **hyper})
-        # b is the one parameter read; older files carry a second key, which
-        # never changed a prediction
-        params = FBetaParams(b=record["b"])
-        return cls(eta_hat=eta_hat, theta_hat=record["theta_hat"], params=params,
-                   provenance=record.get("provenance", {}))
+        try:
+            data = LabeledDataset.from_csv(f"{prefix}_data.csv")
+            eta_hat = fit_from_config(data, {"method": method, **hyper})
+            # b is the one parameter read; older files carry a second key,
+            # which never changed a prediction
+            params = FBetaParams(b=record["b"])
+            return cls(eta_hat=eta_hat, theta_hat=record["theta_hat"], params=params,
+                       provenance=record.get("provenance", {}))
+        except ValueError as exc:
+            # the checks that build the classifier name the field; the file
+            # that holds it is named here
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def train_plugin(labeled: LabeledDataset, unlabeled, estimator_config: dict,
@@ -263,6 +269,9 @@ def _band_threshold(eta_hat, unlabeled, params: FBetaParams) -> float | None:
             band = grown
         band[filled:filled + part.size] = part
         filled += part.size
+        # released before the next block is drawn and scored, so that the
+        # loop holds one block's scores at a time
+        del scores, high, low, part
     if above:
         # one copy of the least score above the band closes the run, so the
         # run is never empty and its top segment is bounded by its own value

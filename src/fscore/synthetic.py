@@ -96,6 +96,15 @@ def _step_margin(gaps, masses) -> Callable:
     return margin_probabilities
 
 
+def _frozen_law(support, mass, eta) -> DiscreteDistribution:
+    """The law of the fresh arrays ``support``, ``mass`` and ``eta``, frozen
+    here so that ``DiscreteDistribution`` holds them without a copy; no one
+    else may write to them."""
+    for arr in (support, mass, eta):
+        arr.setflags(write=False)
+    return DiscreteDistribution(support=support, mass=mass, eta=eta)
+
+
 def _unit_interval_family(eta_flat: Callable, **fields) -> AnalyticDistribution:
     """A 1-d family with X ~ U[0,1] and eta(x) = eta_flat(x) on (k,) arrays:
     the sampler, the density 1 on [0, 1] and 0 elsewhere, and the midpoint
@@ -106,9 +115,8 @@ def _unit_interval_family(eta_flat: Callable, **fields) -> AnalyticDistribution:
 
     def discretize(n_atoms, seed=0):
         grid = (np.arange(n_atoms) + 0.5) / n_atoms
-        return DiscreteDistribution(support=grid[:, None],
-                                    mass=np.full(n_atoms, 1.0 / n_atoms),
-                                    eta=eta_flat(grid))
+        return _frozen_law(grid[:, None], np.full(n_atoms, 1.0 / n_atoms),
+                           eta_flat(grid))
 
     def density(x):
         x = flat(x)
@@ -449,9 +457,7 @@ def build_hard_family(p: HardFamilyParams, seed: int = 0) -> AnalyticDistributio
             points.append(pts)
             masses.append(np.full(per, comp_masses[idx] / per))
         support = np.vstack(points)
-        return DiscreteDistribution(support=support,
-                                    mass=np.concatenate(masses),
-                                    eta=eta_fn(support))
+        return _frozen_law(support, np.concatenate(masses), eta_fn(support))
 
     theta_check = solve_threshold(exact_atoms.eta, exact_atoms.mass, 1.0)
     if abs(theta_check - 0.25) > 1e-9:

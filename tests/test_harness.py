@@ -507,6 +507,26 @@ def test_n2_replicate_holds_a_band_of_the_scores():
     assert peak < 0.5 * 8 * big_n
 
 
+def test_n2_replicate_holds_one_block_of_scores_at_a_time():
+    # the band pass released a block's scores only once the next block was
+    # scored, so two blocks' scores were live while evaluate ran.  The same
+    # replicate measured 0.28 x 8N here, 0.36 with that overlap (0.26-0.35
+    # against 0.31-0.44 over replicate seeds 0-9, each 0.06-0.09 lower)
+    cfg = ExperimentConfig(n_rule="n2", n_grid=(2000,), reps=1, seed=0,
+                           oracle_atoms=2000)
+    family = harness.build_family(cfg)
+    oracle = harness._Oracle(family.discretize(cfg.oracle_atoms), cfg.b)
+    harness._replicate(family, oracle, cfg, 20, 7)  # lazy imports outside the trace
+    big_n = cfg.unlabeled_size(2000)
+    tracemalloc.start()
+    try:
+        assert harness._replicate(family, oracle, cfg, 2000, 7) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.32 * 8 * big_n
+
+
 # ---------------------------------------------------------------------------
 # Replicates on forked workers: the same results, errors and no child left.
 

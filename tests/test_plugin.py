@@ -309,11 +309,27 @@ def test_save_load_round_trip(tmp_path):
            ([record], "JSON object")]
     bad += [({k: v for k, v in record.items() if k != field}, f"has no {field}")
             for field in ("method", "hyperparameters", "theta_hat", "b")]
+    # a bad value is refused where the classifier is built, which named the
+    # field but not the file
+    bad += [({**record, "hyperparameters": {"h": "x"}}, "bandwidth h .* got 'x'"),
+            ({**record, "hyperparameters": {"h": -1.0}}, "bandwidth h .* got -1.0"),
+            ({**record, "b": "2"}, "b must .* got '2'"),
+            ({**record, "theta_hat": 0.9}, "theta_hat 0.9 outside")]
     for value, words in bad:
         with open(f"{prefix}.json", "w") as fh:
             json.dump(value, fh)
         with pytest.raises(ValueError, match=f"^{re.escape(prefix)}.json: .*{words}"):
             fs.PluginClassifier.load(prefix)
+    # and so is a data row that is not finite
+    with open(f"{prefix}.json", "w") as fh:
+        json.dump(record, fh)
+    with open(f"{prefix}_data.csv") as fh:
+        rows = fh.read().splitlines()
+    with open(f"{prefix}_data.csv", "w") as fh:
+        fh.write("\n".join(rows[:2] + ["nan,1"] + rows[3:]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}.json: labeled dataset: "
+                                         "row 1 is not finite"):
+        fs.PluginClassifier.load(prefix)
     # every method's saved hyperparameters load as they are, and no others
     for method in ("kernel", "knn", "local_poly"):
         fs.train_plugin(labeled, unlabeled, {"method": method}).save(prefix)
